@@ -1,34 +1,21 @@
-//! T21 — the accumulator storage-engine trade-off surface.
+//! T21 — the accumulator's time and memory over an `(n, d)` grid.
 //!
 //! The server of Algorithm 2 is a running ±1 sum per open dyadic
-//! interval; *how those sums are laid out in memory* is a free design
-//! axis the paper never pins down. This experiment measures every
-//! backend behind the `rtf_core::accumulator` seam — dense `f64`,
-//! fixed-point `i64`, compressed sparse, SoA count lanes — over an
-//! `(n, d)` grid that includes a large-`log d` regime (the
-//! Bassily–Smith succinct-histogram setting), recording wall time and
-//! the resident bytes of the pipeline's accumulation state.
+//! interval, stored as one `f64` lane per order (`rtf_core::accumulator`).
+//! This experiment runs the batched pipeline over an `(n, d)` grid that
+//! includes a large-`log d` regime (the Bassily–Smith succinct-histogram
+//! setting), recording wall time and the resident bytes of the
+//! pipeline's accumulation state.
 //!
-//! Every timed run is asserted **value-for-value identical** to the
-//! dense baseline before its numbers are accepted: all four layouts
-//! store integer-valued sums exactly, so agreement is exact equality,
-//! never tolerance.
-//!
-//! The run also measures the **sparse batched folds** optimisation
-//! (`ReportBatch::fold_into` pre-aggregates rows into a per-order
-//! scratch and issues one `record_batch` per touched order, instead of
-//! one binary-searching `record` per row): the before/after timing on
-//! the sparse backend is recorded in the JSON's `fold` section, with
-//! the two paths asserted bit-identical first. The **bit-packed
-//! sign-lane fold** (word-at-a-time popcounts over `SignLane` vs one
-//! decoded sign per row) is measured the same way on the SoA count
-//! lanes and recorded under `fold_packed`.
+//! The run also measures the **bit-packed sign-lane fold**
+//! (`ReportBatch::fold_into`: word-at-a-time popcounts over `SignLane`
+//! runs, one `record_counts` per run) against the row-by-row reference
+//! (`fold_into_rows`: one decoded sign per row), with the two paths
+//! asserted bit-identical first, and records it under `fold_packed`.
 //!
 //! Machine-readable output: `BENCH_backends.json` at the repository
 //! root (validated by the CI smoke step and enforced as a baseline by
-//! the CI perf-regression gate, `scripts/perf_gate.py`), including the
-//! headline check that the sparse backend beats dense on memory once
-//! `log d` is large.
+//! the CI perf-regression gate, `scripts/perf_gate.py`).
 //!
 //! Run with `cargo bench --bench exp_backends` (full) or
 //! `cargo bench --bench exp_backends -- --smoke` (same grid — the grid
@@ -36,20 +23,17 @@
 //! against the committed baseline; only the fold micro-bench shrinks).
 
 use rtf_bench::{banner, Table};
-use rtf_core::accumulator::Accumulator;
-use rtf_core::accumulator::AccumulatorKind;
+use rtf_core::accumulator::{Accumulator, DenseAccumulator};
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_runtime::{ExecMode, ReportBatch, SignLane};
-use rtf_sim::engine::{run_event_driven_with_backend, EventDrivenOutcome};
+use rtf_sim::engine::run_event_driven_with;
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 use std::time::Instant;
 
-#[derive(Clone)]
 struct Row {
-    backend: AccumulatorKind,
     n: usize,
     d: u64,
     elapsed_s: f64,
@@ -58,43 +42,12 @@ struct Row {
     acc_bytes: u64,
 }
 
-fn measure(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    backend: AccumulatorKind,
-) -> (Row, EventDrivenOutcome) {
-    // Parallel(1): the batched pipeline on one worker — the per-period
-    // shard accumulators whose layout the backends differ on, with no
-    // threading noise (the bench box is single-core; any win must be
-    // layout-driven).
-    let start = Instant::now();
-    let outcome =
-        run_event_driven_with_backend(params, population, seed, ExecMode::Parallel(1), backend);
-    let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
-    let reports = outcome.wire.payload_bits;
-    (
-        Row {
-            backend,
-            n: params.n(),
-            d: params.d(),
-            elapsed_s,
-            reports,
-            reports_per_s: reports as f64 / elapsed_s,
-            acc_bytes: outcome.acc_bytes,
-        },
-        outcome,
-    )
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("RTF_BACKENDS_SMOKE").is_ok_and(|v| v == "1");
-    // Each grid point pairs a throughput-shaped regime (modest d, large
-    // n) with a large-log d regime (d = 4096 ⇒ 13 orders) where the
-    // sparse layout's compressed per-period maps pay off. The grid is
-    // cheap enough to run whole in CI, so smoke keeps it — every smoke
-    // row differences exactly against the committed baseline.
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    // A throughput-shaped regime (modest d, large n) and a large-log d
+    // regime (d = 4096 ⇒ 13 orders). The grid is cheap enough to run
+    // whole in CI, so smoke keeps it — every smoke row differences
+    // exactly against the committed baseline.
     let grid: &[(usize, u64)] = &[(100_000, 64), (4_000, 4_096)];
     let fold_repeats: usize = if smoke { 50 } else { 400 };
     let k = 4usize;
@@ -102,21 +55,18 @@ fn main() {
     banner(
         "T21",
         &format!(
-            "accumulator storage backends (k={k}, grid {grid:?}{})",
+            "dense accumulator (k={k}, grid {grid:?}{})",
             if smoke { ", SMOKE" } else { "" }
         ),
-        "one seam, four exact layouts: fixed-point for bit-exactness, sparse for large log d \
-         memory, SoA for integer-increment hot paths — all value-for-value identical to dense",
+        "one exact f64 lane per order: time and resident bytes of the batched pipeline",
     );
 
     let table = Table::new(&[
         ("n", 8),
         ("d", 6),
-        ("backend", 8),
         ("wall s", 9),
         ("Mrep/s", 9),
         ("acc KiB", 9),
-        ("vs dense", 9),
     ]);
 
     let mut rows: Vec<Row> = Vec::new();
@@ -124,112 +74,39 @@ fn main() {
         let params = ProtocolParams::new(n, d, k, 1.0, 0.05).expect("valid parameters");
         let mut rng = SeedSequence::new(21_000 + n as u64).rng();
         let population = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-
-        let (dense_row, baseline) = measure(&params, &population, 42, AccumulatorKind::Dense);
-        let dense_bytes = dense_row.acc_bytes;
-        for backend in AccumulatorKind::ALL {
-            let (row, outcome) = if backend == AccumulatorKind::Dense {
-                // Reuse the baseline measurement rather than re-timing.
-                (dense_row.clone(), None)
-            } else {
-                let (row, outcome) = measure(&params, &population, 42, backend);
-                (row, Some(outcome))
-            };
-            if let Some(outcome) = &outcome {
-                assert_eq!(
-                    outcome.estimates, baseline.estimates,
-                    "{backend} must match dense exactly before its numbers count"
-                );
-                assert_eq!(outcome.wire, baseline.wire, "{backend} wire stats");
-            }
-            table.row(&[
-                format!("{n}"),
-                format!("{d}"),
-                row.backend.to_string(),
-                format!("{:.2}", row.elapsed_s),
-                format!("{:.2}", row.reports_per_s / 1e6),
-                format!("{:.1}", row.acc_bytes as f64 / 1024.0),
-                format!("{:.2}x", row.acc_bytes as f64 / dense_bytes as f64),
-            ]);
-            rows.push(row);
-        }
+        // Parallel(1): the batched pipeline on one worker — the
+        // per-period shard accumulators, with no threading noise.
+        let start = Instant::now();
+        let outcome = run_event_driven_with(&params, &population, 42, ExecMode::Parallel(1));
+        let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
+        let reports = outcome.wire.payload_bits;
+        let row = Row {
+            n,
+            d,
+            elapsed_s,
+            reports,
+            reports_per_s: reports as f64 / elapsed_s,
+            acc_bytes: outcome.acc_bytes,
+        };
+        table.row(&[
+            format!("{n}"),
+            format!("{d}"),
+            format!("{:.2}", row.elapsed_s),
+            format!("{:.2}", row.reports_per_s / 1e6),
+            format!("{:.1}", row.acc_bytes as f64 / 1024.0),
+        ]);
+        rows.push(row);
     }
 
-    // The acceptance check: in the large-log d regime the compressed
-    // sparse layout must beat dense on resident accumulator bytes.
-    let large_d = grid.iter().map(|&(_, d)| d).max().expect("non-empty grid");
-    let bytes_of = |backend: AccumulatorKind| {
-        rows.iter()
-            .find(|r| r.d == large_d && r.backend == backend)
-            .expect("grid covers every backend")
-            .acc_bytes
-    };
-    assert!(
-        bytes_of(AccumulatorKind::Sparse) < bytes_of(AccumulatorKind::Dense),
-        "sparse ({} B) must beat dense ({} B) on memory at d = {large_d}",
-        bytes_of(AccumulatorKind::Sparse),
-        bytes_of(AccumulatorKind::Dense),
-    );
-
-    // The sparse-batched-folds before/after: one large mixed-order batch
-    // folded into a sparse accumulator row-by-row (one binary search per
-    // row) vs pre-aggregated (one `record_batch` per touched order).
+    // The bit-packed sign-lane fold: `fold_into` run-detects order runs
+    // and popcounts the packed sign words (64 signs per load), where the
+    // row reference decodes one sign per row. The batch is built
+    // order-major through `extend_packed` — the shape the span-batched
+    // client emission actually produces (one order per bulk append),
+    // where runs are long enough for word ops to pay. Equivalence first,
+    // then the before/after timing.
     let fold_rows = 8_192usize;
     let fold_orders = 13u8; // the d = 4096 regime: 13 orders
-    let mut fold_batch = ReportBatch::with_capacity(fold_rows);
-    for i in 0..fold_rows {
-        // Period-like skew: order h carries ~2^-h of the traffic.
-        let mut h = 0u8;
-        let mut bits = i;
-        while bits % 2 == 1 && h + 1 < fold_orders {
-            h += 1;
-            bits /= 2;
-        }
-        let sign = if i % 3 == 0 { Sign::Minus } else { Sign::Plus };
-        fold_batch.push(i as u32, h, sign);
-    }
-    // Equivalence first: a speedup for a wrong answer is worthless.
-    let mut fast = AccumulatorKind::Sparse.new_accumulator(fold_orders as usize);
-    let mut slow = AccumulatorKind::Sparse.new_accumulator(fold_orders as usize);
-    fold_batch.fold_into(&mut fast);
-    fold_batch.fold_into_rows(&mut slow);
-    for h in 0..u32::from(fold_orders) {
-        assert_eq!(
-            fast.order_sum(h),
-            slow.order_sum(h),
-            "fold paths diverge at order {h}"
-        );
-    }
-    assert_eq!(fast.reports(), slow.reports());
-
-    let time_folds = |preaggregated: bool| -> f64 {
-        let start = Instant::now();
-        for _ in 0..fold_repeats {
-            let mut acc = AccumulatorKind::Sparse.new_accumulator(fold_orders as usize);
-            if preaggregated {
-                fold_batch.fold_into(&mut acc);
-            } else {
-                fold_batch.fold_into_rows(&mut acc);
-            }
-            assert_eq!(acc.reports(), fold_rows as u64);
-        }
-        start.elapsed().as_secs_f64().max(1e-9)
-    };
-    let row_by_row_s = time_folds(false);
-    let preaggregated_s = time_folds(true);
-    let fold_speedup = row_by_row_s / preaggregated_s;
-    println!(
-        "\nsparse batched folds ({fold_rows} rows x {fold_repeats} folds, {fold_orders} orders): \
-         row-by-row {row_by_row_s:.4}s vs pre-aggregated {preaggregated_s:.4}s => {fold_speedup:.2}x"
-    );
-
-    // The bit-packed sign-lane fold on the SoA count lanes: `fold_into`
-    // run-detects order runs and popcounts the packed sign words
-    // (64 signs per load), where the row reference decodes one sign per
-    // row. The batch is built order-major through `extend_packed` — the
-    // shape the span-batched client emission actually produces (one
-    // order per bulk append), where runs are long enough for word ops
-    // to pay. Equivalence on SoA first, then the before/after timing.
     let mut lane = SignLane::new();
     for i in 0..fold_rows {
         lane.push(if i % 3 == 0 { Sign::Minus } else { Sign::Plus });
@@ -247,22 +124,16 @@ fn main() {
         }
     }
     packed_batch.extend_packed(&users[at..], 0, &lane, at..fold_rows);
-    let mut fast = AccumulatorKind::Soa.new_accumulator(fold_orders as usize);
-    let mut slow = AccumulatorKind::Soa.new_accumulator(fold_orders as usize);
+    // A speedup for a wrong answer is worthless.
+    let mut fast = DenseAccumulator::new(fold_orders as usize);
+    let mut slow = DenseAccumulator::new(fold_orders as usize);
     packed_batch.fold_into(&mut fast);
     packed_batch.fold_into_rows(&mut slow);
-    for h in 0..u32::from(fold_orders) {
-        assert_eq!(
-            fast.order_sum(h),
-            slow.order_sum(h),
-            "packed fold paths diverge at order {h}"
-        );
-    }
-    assert_eq!(fast.reports(), slow.reports());
+    assert_eq!(fast, slow, "packed fold paths diverge");
     let time_packed = |packed: bool| -> f64 {
         let start = Instant::now();
         for _ in 0..fold_repeats {
-            let mut acc = AccumulatorKind::Soa.new_accumulator(fold_orders as usize);
+            let mut acc = DenseAccumulator::new(fold_orders as usize);
             if packed {
                 packed_batch.fold_into(&mut acc);
             } else {
@@ -276,7 +147,7 @@ fn main() {
     let packed_word_s = time_packed(true);
     let packed_speedup = packed_row_s / packed_word_s;
     println!(
-        "packed sign-lane folds on soa ({fold_rows} rows x {fold_repeats} folds): \
+        "\npacked sign-lane folds ({fold_rows} rows x {fold_repeats} folds): \
          per-row {packed_row_s:.4}s vs word-at-a-time {packed_word_s:.4}s => {packed_speedup:.2}x"
     );
 
@@ -291,10 +162,9 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"n\": {}, \"d\": {}, \"log_d\": {}, \
+            "    {{\"backend\": \"dense\", \"n\": {}, \"d\": {}, \"log_d\": {}, \
              \"elapsed_s\": {:.6}, \"reports\": {}, \"reports_per_s\": {:.1}, \
              \"acc_bytes\": {}}}{}\n",
-            r.backend,
             r.n,
             r.d,
             r.d.ilog2(),
@@ -307,13 +177,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"fold\": {{\"backend\": \"sparse\", \"rows\": {fold_rows}, \
-         \"orders\": {fold_orders}, \"repeats\": {fold_repeats}, \
-         \"row_by_row_s\": {row_by_row_s:.6}, \"preaggregated_s\": {preaggregated_s:.6}, \
-         \"speedup\": {fold_speedup:.4}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"fold_packed\": {{\"backend\": \"soa\", \"rows\": {fold_rows}, \
+        "  \"fold_packed\": {{\"backend\": \"dense\", \"rows\": {fold_rows}, \
          \"orders\": {fold_orders}, \"repeats\": {fold_repeats}, \
          \"per_row_s\": {packed_row_s:.6}, \"word_s\": {packed_word_s:.6}, \
          \"speedup\": {packed_speedup:.4}}}\n"
@@ -322,12 +186,5 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backends.json");
     std::fs::write(path, &json).expect("write BENCH_backends.json");
 
-    let sparse_ratio =
-        bytes_of(AccumulatorKind::Sparse) as f64 / bytes_of(AccumulatorKind::Dense) as f64;
-    println!(
-        "\nresult: all four backends reproduced the dense estimates exactly; at d = {large_d} \
-         the sparse layout holds {:.0}% of dense's accumulator bytes. wrote BENCH_backends.json. \
-         PASS",
-        100.0 * sparse_ratio
-    );
+    println!("\nresult: wrote BENCH_backends.json. PASS");
 }

@@ -39,11 +39,6 @@
 //! which removes the thrash (and with it the anomaly) instead of merely
 //! diagnosing it.
 //!
-//! The run also measures the cross-run pool-reuse delta (ROADMAP item):
-//! repeated small maps on the per-call scoped `WorkerPool` vs the
-//! process-wide persistent pool `run_trials` now folds over, reporting
-//! the thread-spawn cost each call no longer pays.
-//!
 //! The streaming ingestion service is measured alongside the offline
 //! modes (`"mode": "live"` rows): the same schedule served through
 //! bounded per-worker mailboxes with period-close flushes — the
@@ -66,7 +61,7 @@ use rtf_core::params::ProtocolParams;
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::ingest::LiveConfig;
-use rtf_runtime::{shared_pool, ExecMode, WorkerPool};
+use rtf_runtime::ExecMode;
 use rtf_scenarios::config::Scenario;
 use rtf_scenarios::engine::{
     run_scenario_batched_timed, run_scenario_sequential_timed, ScenarioStageTimings,
@@ -143,14 +138,8 @@ fn measure(
         }
         "scenario" => match mode {
             ExecMode::Sequential => {
-                let (out, t) = run_scenario_sequential_timed(
-                    params,
-                    population,
-                    seed,
-                    scenario,
-                    AccumulatorKind::Dense,
-                    schema,
-                );
+                let (out, t) =
+                    run_scenario_sequential_timed(params, population, seed, scenario, schema);
                 stages = Some(t);
                 RunValues {
                     estimates: out.estimates,
@@ -208,14 +197,7 @@ fn measure_live(
 ) -> (Measurement, RunValues) {
     let config = LiveConfig::new(workers);
     let start = Instant::now();
-    let (out, _stats) = run_event_driven_live_schema(
-        params,
-        population,
-        seed,
-        &config,
-        AccumulatorKind::Dense,
-        schema,
-    );
+    let (out, _stats) = run_event_driven_live_schema(params, population, seed, &config, schema);
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
     let reports = out.wire.payload_bits;
     (
@@ -236,38 +218,6 @@ fn measure_live(
             wire: out.wire,
         },
     )
-}
-
-/// The cross-run pool-reuse measurement: `calls` repeated small
-/// `map_indexed` fans on the scoped per-call pool vs the persistent
-/// shared pool, at a fixed worker count. Returns
-/// `(scoped_s, persistent_s)` totals.
-fn measure_pool_reuse(workers: usize, calls: usize, jobs: usize) -> (f64, f64) {
-    let work = |i: usize| -> u64 {
-        // Cheap but not optimisable-away per-job work.
-        (0..64u64).fold(i as u64, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
-    };
-    let persistent = shared_pool(workers);
-    // Warm both paths once so neither pays first-call setup in the
-    // timed region.
-    let scoped_pool = WorkerPool::new(workers);
-    let expect = scoped_pool.map_indexed(jobs, work);
-    assert_eq!(persistent.map_indexed(jobs, work), expect);
-
-    let start = Instant::now();
-    for _ in 0..calls {
-        let out = scoped_pool.map_indexed(jobs, work);
-        assert_eq!(out.len(), jobs);
-    }
-    let scoped_s = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    for _ in 0..calls {
-        let out = persistent.map_indexed(jobs, work);
-        assert_eq!(out.len(), jobs);
-    }
-    let persistent_s = start.elapsed().as_secs_f64();
-    (scoped_s, persistent_s)
 }
 
 fn mode_json(mode: ExecMode) -> (&'static str, usize) {
@@ -450,19 +400,6 @@ fn main() {
         }
     }
 
-    // Cross-run pool reuse: what does a map_* call cost when the threads
-    // already exist?
-    let (reuse_workers, reuse_calls, reuse_jobs) = if smoke { (4, 100, 32) } else { (4, 400, 32) };
-    let (scoped_s, persistent_s) = measure_pool_reuse(reuse_workers, reuse_calls, reuse_jobs);
-    let spawn_delta_per_call = (scoped_s - persistent_s) / reuse_calls as f64;
-    println!(
-        "\npool reuse ({reuse_workers} workers, {reuse_calls} calls x {reuse_jobs} jobs): \
-         scoped {:.4}s vs persistent {:.4}s => spawn cost {:.1} us/call",
-        scoped_s,
-        persistent_s,
-        spawn_delta_per_call * 1e6
-    );
-
     // Machine-readable perf trajectory at the repository root.
     let hardware_threads = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -502,13 +439,7 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"pool_reuse\": {{\"workers\": {reuse_workers}, \"calls\": {reuse_calls}, \
-         \"jobs\": {reuse_jobs}, \"scoped_s\": {scoped_s:.6}, \
-         \"persistent_s\": {persistent_s:.6}, \
-         \"spawn_delta_s_per_call\": {spawn_delta_per_call:.9}}}\n"
-    ));
+    json.push_str("  ]\n");
     json.push_str("}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     std::fs::write(path, &json).expect("write BENCH_throughput.json");

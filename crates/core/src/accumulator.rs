@@ -1,4 +1,4 @@
-//! Mergeable accumulation state — the storage-engine layer of Algorithm 2.
+//! Mergeable accumulation state — the storage layer of Algorithm 2.
 //!
 //! The server's only per-report state is, per order `h`, the running sum
 //! of ±1 report bits of the currently open order-`h` dyadic interval.
@@ -6,44 +6,22 @@
 //! [`Accumulator`] and [`merge`](Accumulator::merge)-ing the shards gives
 //! exactly the sum the sequential server would have built — report bits
 //! are ±1 and batch totals are integer-valued, so every intermediate sum
-//! is an integer far below 2⁵³ and `f64` addition over them is exact,
-//! associative, and commutative. This is what makes user-partitioned
-//! parallel execution value-for-value identical to sequential execution
-//! for any worker count.
+//! is an integer with `|sum| ≤ n < 2⁵³` and `f64` addition over them is
+//! exact, associative, and commutative. This is what makes
+//! user-partitioned parallel execution value-for-value identical to
+//! sequential execution for any worker count.
 //!
-//! The *storage layout* of those per-order sums is a free design axis the
-//! paper never pins down, so this module treats it as a pluggable
-//! backend. Four layouts live behind the one trait, selected by
-//! [`AccumulatorKind`] (env var `RTF_BACKEND`):
+//! The sums live in one layout, [`DenseAccumulator`]: one `f64` lane per
+//! order plus a report counter. Exactness makes any other exact layout
+//! produce the same estimates, and at `1 + log d` lanes the state is a
+//! few hundred bytes, so no other layout has anything to win.
 //!
-//! * [`DenseAccumulator`] — one `f64` per order; the reference layout.
-//! * [`FixedPointAccumulator`] — one `i64` per order. Report sums are
-//!   integers, so integer storage is exact, bit-identical across
-//!   platforms/FPUs/worker counts, and saturating-checked against the
-//!   `n·k` bound derived from [`ProtocolParams`].
-//! * [`SparseAccumulator`] — a compressed order→sum map holding only
-//!   *touched* orders. At period `t` only orders with `2ʰ | t` receive
-//!   reports, so per-period shard accumulators in the batched pipeline
-//!   hold ~2 entries on average instead of `1 + log d` lanes — the
-//!   memory win grows with `log d`.
-//! * [`SoaAccumulator`] — two contiguous unsigned count lanes per order
-//!   (`+1` count, `−1` count) in one allocation: the hot `record` path
-//!   is a single integer increment with no floating-point op, and the
-//!   sum is reconstructed exactly on demand.
-//!
-//! All four are **exact** for integer-valued contents, so every backend
-//! produces identical frequency estimates — asserted value-for-value by
-//! the differential oracle (`rtf_scenarios::oracle::
-//! assert_backend_agreement`).
-//!
-//! [`Server`](crate::server::Server) owns one [`AnyAccumulator`] and is
-//! a thin checked-ingestion/finalisation facade over it; the parallel
-//! runtime builds one shard accumulator per worker (same backend) and
-//! merges them in shard-index order. Mixing backends or shapes across a
-//! merge is a typed [`AccumulatorError`], never UB or a silent wrong
-//! answer.
+//! [`Server`](crate::server::Server) owns one accumulator and is a thin
+//! checked-ingestion/finalisation facade over it; the parallel runtime
+//! builds one shard accumulator per worker and merges them in
+//! shard-index order. Merging shards of different shapes is a typed
+//! [`AccumulatorError`], never UB or a silent wrong answer.
 
-use crate::params::ProtocolParams;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use rtf_primitives::sign::Sign;
 
@@ -57,14 +35,6 @@ pub enum AccumulatorError {
         /// Orders of the offending shard.
         got: usize,
     },
-    /// The storage backends differ — a shard built for one layout was
-    /// handed to a server running another.
-    BackendMismatch {
-        /// Backend of the accumulator being merged into.
-        expected: AccumulatorKind,
-        /// Backend of the offending shard.
-        got: AccumulatorKind,
-    },
 }
 
 impl std::fmt::Display for AccumulatorError {
@@ -73,10 +43,6 @@ impl std::fmt::Display for AccumulatorError {
             AccumulatorError::ShapeMismatch { expected, got } => write!(
                 f,
                 "cannot merge accumulators of different shapes: {expected} vs {got} orders"
-            ),
-            AccumulatorError::BackendMismatch { expected, got } => write!(
-                f,
-                "cannot merge accumulators of different backends: {expected} vs {got}"
             ),
         }
     }
@@ -106,8 +72,7 @@ pub trait Accumulator: Send {
     /// Records a batch given as separate `+1`/`−1` counts — the shape the
     /// packed sign lanes produce from masked popcounts. Equivalent by
     /// definition to `record_batch(h, (plus − minus) as f64,
-    /// plus + minus)`; backends override it to take the word-at-a-time
-    /// path (pure integer arithmetic, no `f64` round-trip).
+    /// plus + minus)`.
     #[inline]
     fn record_counts(&mut self, h: u32, plus: u64, minus: u64) {
         self.record_batch(h, (plus as i64 - minus as i64) as f64, plus + minus);
@@ -120,7 +85,7 @@ pub trait Accumulator: Send {
     /// Adds another shard of the same shape into `self`.
     ///
     /// # Panics
-    /// Panics if the shapes (order counts) or backends differ; use
+    /// Panics if the shapes (order counts) differ; use
     /// [`try_merge`](Self::try_merge) where a recoverable error is
     /// wanted.
     fn merge(&mut self, other: &Self) {
@@ -139,20 +104,8 @@ pub trait Accumulator: Send {
     /// Total number of report bits recorded (including merged shards).
     fn reports(&self) -> u64;
 
-    /// Bytes of heap memory this accumulator's storage currently holds —
-    /// the quantity `exp_backends` compares across layouts.
+    /// Bytes of heap memory this accumulator's storage currently holds.
     fn heap_bytes(&self) -> usize;
-}
-
-/// Converts an integer-valued batch total to `i64`, rejecting fractional
-/// or out-of-range values (±1 report bits can never produce them).
-#[inline]
-fn integral(sum: f64) -> i64 {
-    assert!(
-        sum.fract() == 0.0 && sum.abs() < 2f64.powi(53),
-        "batch sum {sum} is not an exactly-representable integer"
-    );
-    sum as i64
 }
 
 /// The dense per-order shard implementation: one running `f64` sum per
@@ -243,681 +196,145 @@ impl Accumulator for DenseAccumulator {
     }
 }
 
-/// Integer (`i64`) per-order sums: bit-exact across platforms, FPUs, and
-/// worker counts, with saturating arithmetic checked against a
-/// protocol-derived bound.
-///
-/// Honest traffic can never saturate: between two closings of an order-`h`
-/// interval the server accepts at most one report per registered user, so
-/// `|sum| ≤ n ≤ n·k` — the bound installed by
-/// [`AccumulatorKind::accumulator_for`]. A set
-/// [`saturated`](FixedPointAccumulator::saturated) flag therefore indicates a
-/// protocol violation (or a mis-sized bound), and the sums are clamped
-/// rather than wrapped so the failure is loud and deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedPointAccumulator {
-    sums: Vec<i64>,
-    reports: u64,
-    bound: i64,
-    saturated: bool,
+/// Snapshot tags of the accumulator payload. Dense (`0`) is the only tag
+/// written; `1`–`3` are the integer, sparse and count-lane layouts an
+/// older build could write, still read into dense lanes.
+const TAG_DENSE: u8 = 0;
+const TAG_FIXED: u8 = 1;
+const TAG_SPARSE: u8 = 2;
+const TAG_COUNT_LANES: u8 = 3;
+
+/// Every integer of magnitude up to `2⁵³` is exactly an `f64`.
+const EXACT_LIMIT: i128 = 1 << 53;
+
+/// An integer sum of a retired layout as a dense lane value, refusing
+/// magnitudes an `f64` cannot hold exactly.
+fn exact_lane(sum: i128) -> Result<f64, SnapshotError> {
+    if sum.abs() > EXACT_LIMIT {
+        return Err(SnapshotError::Corrupt("integer lane sum beyond 2^53"));
+    }
+    Ok(sum as f64)
 }
 
-impl FixedPointAccumulator {
-    /// An empty accumulator for `orders` orders with an effectively
-    /// unlimited bound.
-    pub fn new(orders: usize) -> Self {
-        FixedPointAccumulator::with_bound(orders, i64::MAX)
-    }
-
-    /// An empty accumulator whose per-order sums saturate at `±bound`.
-    ///
-    /// # Panics
-    /// Panics if `bound <= 0`.
-    pub fn with_bound(orders: usize, bound: i64) -> Self {
-        assert!(bound > 0, "saturation bound must be positive, got {bound}");
-        FixedPointAccumulator {
-            sums: vec![0; orders],
-            reports: 0,
-            bound,
-            saturated: false,
-        }
-    }
-
-    /// The per-order running sums.
-    pub fn sums(&self) -> &[i64] {
-        &self.sums
-    }
-
-    /// The saturation bound.
-    pub fn bound(&self) -> i64 {
-        self.bound
-    }
-
-    /// Whether any sum ever hit the bound (a protocol violation — honest
-    /// traffic stays below `n ≤ n·k`).
-    pub fn saturated(&self) -> bool {
-        self.saturated
-    }
-
-    #[inline]
-    fn add(&mut self, h: usize, delta: i64) {
-        let next = self.sums[h].saturating_add(delta);
-        if next > self.bound {
-            self.sums[h] = self.bound;
-            self.saturated = true;
-        } else if next < -self.bound {
-            self.sums[h] = -self.bound;
-            self.saturated = true;
-        } else {
-            self.sums[h] = next;
-        }
-    }
-}
-
-impl Accumulator for FixedPointAccumulator {
-    fn orders(&self) -> usize {
-        self.sums.len()
-    }
-
-    #[inline]
-    fn record(&mut self, h: u32, bit: Sign) {
-        self.add(h as usize, i64::from(bit.value()));
-        self.reports += 1;
-    }
-
-    #[inline]
-    fn record_batch(&mut self, h: u32, sum: f64, count: u64) {
-        self.add(h as usize, integral(sum));
-        self.reports += count;
-    }
-
-    #[inline]
-    fn record_counts(&mut self, h: u32, plus: u64, minus: u64) {
-        // Already integer: skip the f64 round-trip and its exactness
-        // assertion entirely.
-        self.add(h as usize, plus as i64 - minus as i64);
-        self.reports += plus + minus;
-    }
-
-    fn try_merge(&mut self, other: &Self) -> Result<(), AccumulatorError> {
-        if self.sums.len() != other.sums.len() {
-            return Err(AccumulatorError::ShapeMismatch {
-                expected: self.sums.len(),
-                got: other.sums.len(),
-            });
-        }
-        for h in 0..other.sums.len() {
-            let delta = other.sums[h];
-            self.add(h, delta);
-        }
-        self.reports += other.reports;
-        self.saturated |= other.saturated;
-        Ok(())
-    }
-
-    #[inline]
-    fn order_sum(&self, h: u32) -> f64 {
-        self.sums[h as usize] as f64
-    }
-
-    #[inline]
-    fn take_order(&mut self, h: u32) -> f64 {
-        std::mem::take(&mut self.sums[h as usize]) as f64
-    }
-
-    fn reports(&self) -> u64 {
-        self.reports
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.sums.capacity() * std::mem::size_of::<i64>()
-    }
-}
-
-/// A compressed order→sum map holding only *touched* orders, kept sorted
-/// by order for `O(log touched)` lookup and `O(touched)` merge.
-///
-/// At period `t` only the orders with `2ʰ | t` receive reports, and
-/// [`take_order`](Accumulator::take_order) removes the entry once the
-/// interval closes — so a per-period shard accumulator in the batched
-/// pipeline holds on average ~2 entries regardless of `log d`, where the
-/// dense layout always holds `1 + log d` lanes. The memory advantage
-/// grows with the horizon (the Bassily–Smith succinct-histogram regime).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseAccumulator {
-    /// `(order, sum)` entries, sorted by order; absent ⇒ sum is zero.
-    entries: Vec<(u32, f64)>,
-    orders: usize,
-    reports: u64,
-}
-
-impl SparseAccumulator {
-    /// An empty accumulator for `orders` orders.
-    pub fn new(orders: usize) -> Self {
-        SparseAccumulator {
-            entries: Vec::new(),
-            orders,
-            reports: 0,
-        }
-    }
-
-    /// Number of orders currently holding an entry.
-    pub fn touched(&self) -> usize {
-        self.entries.len()
-    }
-
-    #[inline]
-    fn add(&mut self, h: u32, delta: f64) {
-        match self.entries.binary_search_by_key(&h, |&(o, _)| o) {
-            Ok(i) => self.entries[i].1 += delta,
-            Err(i) => {
-                // Exact-fit growth: a per-period accumulator holds ~2
-                // entries, so Vec's amortised-doubling minimum (4 slots)
-                // would double the footprint for nothing — and footprint
-                // is this backend's whole reason to exist.
-                if self.entries.len() == self.entries.capacity() {
-                    self.entries.reserve_exact(1);
-                }
-                self.entries.insert(i, (h, delta));
-            }
-        }
-    }
-}
-
-impl Accumulator for SparseAccumulator {
-    fn orders(&self) -> usize {
-        self.orders
-    }
-
-    #[inline]
-    fn record(&mut self, h: u32, bit: Sign) {
-        debug_assert!((h as usize) < self.orders, "order {h} out of range");
-        self.add(h, bit.as_f64());
-        self.reports += 1;
-    }
-
-    #[inline]
-    fn record_batch(&mut self, h: u32, sum: f64, count: u64) {
-        debug_assert!((h as usize) < self.orders, "order {h} out of range");
-        self.add(h, sum);
-        self.reports += count;
-    }
-
-    fn try_merge(&mut self, other: &Self) -> Result<(), AccumulatorError> {
-        if self.orders != other.orders {
-            return Err(AccumulatorError::ShapeMismatch {
-                expected: self.orders,
-                got: other.orders,
-            });
-        }
-        for &(h, sum) in &other.entries {
-            self.add(h, sum);
-        }
-        self.reports += other.reports;
-        Ok(())
-    }
-
-    #[inline]
-    fn order_sum(&self, h: u32) -> f64 {
-        match self.entries.binary_search_by_key(&h, |&(o, _)| o) {
-            Ok(i) => self.entries[i].1,
-            Err(_) => 0.0,
-        }
-    }
-
-    #[inline]
-    fn take_order(&mut self, h: u32) -> f64 {
-        match self.entries.binary_search_by_key(&h, |&(o, _)| o) {
-            Ok(i) => self.entries.remove(i).1,
-            Err(_) => 0.0,
-        }
-    }
-
-    fn reports(&self) -> u64 {
-        self.reports
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(u32, f64)>()
-    }
-}
-
-/// Structure-of-arrays count lanes: per order, a `+1` count and a `−1`
-/// count in one contiguous `Vec<u64>` (`lanes[2h]` = pluses,
-/// `lanes[2h+1]` = minuses).
-///
-/// The hot `record` path is a single integer increment — no
-/// floating-point op, no sign multiply — and the per-order sum is
-/// reconstructed exactly on demand as `pluses − minuses`. The lanes for
-/// all orders share one allocation sized for the L1 line, which is the
-/// layout the single-core bench box rewards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoaAccumulator {
-    /// `lanes[2h]` counts +1 bits of order `h`; `lanes[2h+1]` counts −1s.
-    lanes: Vec<u64>,
-    reports: u64,
-}
-
-impl SoaAccumulator {
-    /// An empty accumulator for `orders` orders.
-    pub fn new(orders: usize) -> Self {
-        SoaAccumulator {
-            lanes: vec![0; 2 * orders],
-            reports: 0,
-        }
-    }
-
-    /// The `(+1 count, −1 count)` lanes of order `h`.
-    pub fn lanes(&self, h: u32) -> (u64, u64) {
-        let i = 2 * h as usize;
-        (self.lanes[i], self.lanes[i + 1])
-    }
-}
-
-impl Accumulator for SoaAccumulator {
-    fn orders(&self) -> usize {
-        self.lanes.len() / 2
-    }
-
-    #[inline]
-    fn record(&mut self, h: u32, bit: Sign) {
-        let lane = 2 * h as usize + usize::from(bit == Sign::Minus);
-        self.lanes[lane] += 1;
-        self.reports += 1;
-    }
-
-    #[inline]
-    fn record_batch(&mut self, h: u32, sum: f64, count: u64) {
-        let s = integral(sum);
-        let c = i64::try_from(count).expect("batch count fits i64");
-        assert!(
-            s.abs() <= c && (c + s) % 2 == 0,
-            "batch sum {s} is not a possible total of {count} ±1 reports"
-        );
-        let plus = ((c + s) / 2) as u64;
-        let i = 2 * h as usize;
-        self.lanes[i] += plus;
-        self.lanes[i + 1] += count - plus;
-        self.reports += count;
-    }
-
-    #[inline]
-    fn record_counts(&mut self, h: u32, plus: u64, minus: u64) {
-        // The popcount totals ARE the lanes — two adds, no sum/count
-        // reconstruction round-trip.
-        let i = 2 * h as usize;
-        self.lanes[i] += plus;
-        self.lanes[i + 1] += minus;
-        self.reports += plus + minus;
-    }
-
-    fn try_merge(&mut self, other: &Self) -> Result<(), AccumulatorError> {
-        if self.lanes.len() != other.lanes.len() {
-            return Err(AccumulatorError::ShapeMismatch {
-                expected: self.lanes.len() / 2,
-                got: other.lanes.len() / 2,
-            });
-        }
-        for (a, b) in self.lanes.iter_mut().zip(&other.lanes) {
-            *a += b;
-        }
-        self.reports += other.reports;
-        Ok(())
-    }
-
-    #[inline]
-    fn order_sum(&self, h: u32) -> f64 {
-        let i = 2 * h as usize;
-        (self.lanes[i] as i64 - self.lanes[i + 1] as i64) as f64
-    }
-
-    #[inline]
-    fn take_order(&mut self, h: u32) -> f64 {
-        let i = 2 * h as usize;
-        let sum = (self.lanes[i] as i64 - self.lanes[i + 1] as i64) as f64;
-        self.lanes[i] = 0;
-        self.lanes[i + 1] = 0;
-        sum
-    }
-
-    fn reports(&self) -> u64 {
-        self.reports
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.lanes.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-/// The selectable storage backends, in the order of [`Self::ALL`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccumulatorKind {
-    /// [`DenseAccumulator`] — one `f64` per order (the default).
-    Dense,
-    /// [`FixedPointAccumulator`] — `i64` sums, bit-exact cross-platform.
-    Fixed,
-    /// [`SparseAccumulator`] — compressed order→sum map for huge `log d`.
-    Sparse,
-    /// [`SoaAccumulator`] — contiguous ±1 count lanes per order.
-    Soa,
-}
-
-impl AccumulatorKind {
-    /// Every backend, in a fixed order — the iteration set of the
-    /// cross-backend differential checks.
-    pub const ALL: [AccumulatorKind; 4] = [
-        AccumulatorKind::Dense,
-        AccumulatorKind::Fixed,
-        AccumulatorKind::Sparse,
-        AccumulatorKind::Soa,
-    ];
-
-    /// The backend's canonical lowercase name (the `RTF_BACKEND` value).
-    pub fn name(self) -> &'static str {
-        match self {
-            AccumulatorKind::Dense => "dense",
-            AccumulatorKind::Fixed => "fixed",
-            AccumulatorKind::Sparse => "sparse",
-            AccumulatorKind::Soa => "soa",
-        }
-    }
-
-    /// Parses a backend name (case-insensitive).
-    pub fn parse(name: &str) -> Option<AccumulatorKind> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "dense" => Some(AccumulatorKind::Dense),
-            "fixed" => Some(AccumulatorKind::Fixed),
-            "sparse" => Some(AccumulatorKind::Sparse),
-            "soa" => Some(AccumulatorKind::Soa),
-            _ => None,
-        }
-    }
-
-    /// Reads the backend from the `RTF_BACKEND` environment variable:
-    /// unset or empty means [`AccumulatorKind::Dense`]. The CI backend
-    /// matrix sets `RTF_BACKEND=fixed`/`sparse` to replay the whole test
-    /// pyramid through an alternative backend, so a typo must fail loudly
-    /// rather than silently fall back to dense.
-    ///
-    /// # Panics
-    /// Panics on an unrecognised non-empty value.
-    pub fn from_env() -> Self {
-        match std::env::var("RTF_BACKEND") {
-            Err(_) => AccumulatorKind::Dense,
-            Ok(v) if v.trim().is_empty() => AccumulatorKind::Dense,
-            Ok(v) => AccumulatorKind::parse(&v).unwrap_or_else(|| {
-                panic!("unknown RTF_BACKEND {v:?}; valid values: dense, fixed, sparse, soa")
-            }),
-        }
-    }
-
-    /// An empty accumulator of this backend for `orders` orders, with no
-    /// saturation bound (worker shards; the server's own accumulator
-    /// carries the protocol bound via [`Self::accumulator_for`]).
-    pub fn new_accumulator(self, orders: usize) -> AnyAccumulator {
-        match self {
-            AccumulatorKind::Dense => AnyAccumulator::Dense(DenseAccumulator::new(orders)),
-            AccumulatorKind::Fixed => AnyAccumulator::Fixed(FixedPointAccumulator::new(orders)),
-            AccumulatorKind::Sparse => AnyAccumulator::Sparse(SparseAccumulator::new(orders)),
-            AccumulatorKind::Soa => AnyAccumulator::Soa(SoaAccumulator::new(orders)),
-        }
-    }
-
-    /// An empty accumulator of this backend sized for `params`: the
-    /// fixed-point backend saturates at the `n·k` bound (an order sum can
-    /// never legitimately exceed `n`, and `k ≥ 1`, so `n·k` is a safe
-    /// ceiling that still catches runaway merges).
-    pub fn accumulator_for(self, params: &ProtocolParams) -> AnyAccumulator {
-        let orders = params.num_orders() as usize;
-        match self {
-            AccumulatorKind::Fixed => {
-                let bound = (params.n() as i64).saturating_mul(params.k() as i64);
-                AnyAccumulator::Fixed(FixedPointAccumulator::with_bound(orders, bound))
-            }
-            _ => self.new_accumulator(orders),
-        }
-    }
-}
-
-impl std::fmt::Display for AccumulatorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A backend-erased accumulator: enum dispatch over the four layouts, so
-/// `Server` and the engines can hold "some backend" without generics
-/// bleeding through every signature.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyAccumulator {
-    /// Dense `f64` lanes.
-    Dense(DenseAccumulator),
-    /// Fixed-point `i64` lanes.
-    Fixed(FixedPointAccumulator),
-    /// Compressed order→sum map.
-    Sparse(SparseAccumulator),
-    /// ±1 count lanes.
-    Soa(SoaAccumulator),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $acc:ident => $body:expr) => {
-        match $self {
-            AnyAccumulator::Dense($acc) => $body,
-            AnyAccumulator::Fixed($acc) => $body,
-            AnyAccumulator::Sparse($acc) => $body,
-            AnyAccumulator::Soa($acc) => $body,
-        }
-    };
-}
-
-impl AnyAccumulator {
-    /// Which backend this accumulator uses.
-    pub fn kind(&self) -> AccumulatorKind {
-        match self {
-            AnyAccumulator::Dense(_) => AccumulatorKind::Dense,
-            AnyAccumulator::Fixed(_) => AccumulatorKind::Fixed,
-            AnyAccumulator::Sparse(_) => AccumulatorKind::Sparse,
-            AnyAccumulator::Soa(_) => AccumulatorKind::Soa,
-        }
-    }
-
-    /// An empty accumulator of the same backend, shape, and (for
-    /// fixed-point) saturation bound — what `Server::new_shard` hands to
-    /// workers.
-    pub fn fresh_like(&self) -> AnyAccumulator {
-        match self {
-            AnyAccumulator::Dense(a) => AnyAccumulator::Dense(DenseAccumulator::new(a.orders())),
-            AnyAccumulator::Fixed(a) => {
-                AnyAccumulator::Fixed(FixedPointAccumulator::with_bound(a.orders(), a.bound()))
-            }
-            AnyAccumulator::Sparse(a) => AnyAccumulator::Sparse(SparseAccumulator::new(a.orders())),
-            AnyAccumulator::Soa(a) => AnyAccumulator::Soa(SoaAccumulator::new(a.orders())),
-        }
-    }
-
-    /// Whether the backend detected saturation (fixed-point only; other
-    /// backends cannot saturate and always return `false`).
-    pub fn is_saturated(&self) -> bool {
-        match self {
-            AnyAccumulator::Fixed(a) => a.saturated(),
-            _ => false,
-        }
-    }
-
-    /// Serializes the full accumulator state — backend tag, lanes,
-    /// report counter, and (fixed-point) bound + saturation flag — so a
-    /// restore is bit-identical on every backend.
+impl DenseAccumulator {
+    /// Serializes the full accumulator state — layout tag, lanes and
+    /// report counter — so a restore is bit-identical.
     pub fn write_state(&self, w: &mut SnapWriter) {
-        match self {
-            AnyAccumulator::Dense(a) => {
-                w.u8(0);
-                w.usize(a.sums.len());
-                for &s in &a.sums {
-                    w.f64(s);
-                }
-                w.u64(a.reports);
-            }
-            AnyAccumulator::Fixed(a) => {
-                w.u8(1);
-                w.usize(a.sums.len());
-                for &s in &a.sums {
-                    w.i64(s);
-                }
-                w.u64(a.reports);
-                w.i64(a.bound);
-                w.bool(a.saturated);
-            }
-            AnyAccumulator::Sparse(a) => {
-                w.u8(2);
-                w.usize(a.orders);
-                w.usize(a.entries.len());
-                for &(h, s) in &a.entries {
-                    w.u32(h);
-                    w.f64(s);
-                }
-                w.u64(a.reports);
-            }
-            AnyAccumulator::Soa(a) => {
-                w.u8(3);
-                w.usize(a.lanes.len());
-                for &c in &a.lanes {
-                    w.u64(c);
-                }
-                w.u64(a.reports);
-            }
+        w.u8(TAG_DENSE);
+        w.usize(self.sums.len());
+        for &s in &self.sums {
+            w.f64(s);
         }
+        w.u64(self.reports);
     }
 
     /// Rebuilds an accumulator from bytes written by
-    /// [`write_state`](Self::write_state), validating every structural
-    /// invariant (sorted sparse entries, in-range orders, positive
-    /// fixed-point bound, even SoA lane count).
+    /// [`write_state`](Self::write_state).
+    ///
+    /// Snapshots of older builds may carry one of three retired layouts,
+    /// each read into the same dense lanes:
+    ///
+    /// * tag `1`, fixed-point: `i64` sums with a positive saturation bound.
+    ///   A payload flagged saturated is refused, because its clamped sums
+    ///   are not the true ones.
+    /// * tag `2`, sparse: sorted, in-range `(order, sum)` entries; the
+    ///   entry of order `h` becomes lane `h`, the other lanes are zero.
+    /// * tag `3`, count lanes: a `(+1 count, −1 count)` pair per order
+    ///   becomes the lane `plus − minus`.
+    ///
+    /// Integer sums beyond `2⁵³` are refused, since `f64` cannot hold them
+    /// exactly.
     ///
     /// # Errors
     /// A typed [`SnapshotError`] for truncation or any violated
     /// invariant — never a panic.
-    pub fn read_state(r: &mut SnapReader<'_>) -> Result<AnyAccumulator, SnapshotError> {
+    pub fn read_state(r: &mut SnapReader<'_>) -> Result<DenseAccumulator, SnapshotError> {
         match r.u8()? {
-            0 => {
+            TAG_DENSE => {
                 let n = r.len(8)?;
-                let mut sums = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sums.push(r.f64()?);
-                }
+                let sums = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
                 let reports = r.u64()?;
-                Ok(AnyAccumulator::Dense(DenseAccumulator { sums, reports }))
+                Ok(DenseAccumulator { sums, reports })
             }
-            1 => {
+            TAG_FIXED => {
                 let n = r.len(8)?;
-                let mut sums = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sums.push(r.i64()?);
-                }
+                let sums = (0..n)
+                    .map(|_| exact_lane(r.i64()?.into()))
+                    .collect::<Result<_, _>>()?;
                 let reports = r.u64()?;
-                let bound = r.i64()?;
-                if bound <= 0 {
+                if r.i64()? <= 0 {
                     return Err(SnapshotError::Corrupt("fixed-point bound not positive"));
                 }
-                let saturated = r.bool()?;
-                Ok(AnyAccumulator::Fixed(FixedPointAccumulator {
-                    sums,
-                    reports,
-                    bound,
-                    saturated,
-                }))
+                if r.bool()? {
+                    return Err(SnapshotError::Corrupt(
+                        "fixed-point sums saturated; the clamped values cannot be restored",
+                    ));
+                }
+                Ok(DenseAccumulator { sums, reports })
             }
-            2 => {
+            TAG_SPARSE => {
                 let orders = r.usize()?;
+                // `1 + log d` for a `u64` horizon: bounds the allocation.
+                if orders > u64::BITS as usize {
+                    return Err(SnapshotError::Corrupt("sparse order count out of range"));
+                }
+                let mut sums = vec![0.0; orders];
                 let n = r.len(12)?;
-                let mut entries: Vec<(u32, f64)> = Vec::with_capacity(n);
+                let mut prev: Option<u32> = None;
                 for _ in 0..n {
                     let h = r.u32()?;
                     if (h as usize) >= orders {
                         return Err(SnapshotError::Corrupt("sparse entry order out of range"));
                     }
-                    if let Some(&(prev, _)) = entries.last() {
-                        if h <= prev {
-                            return Err(SnapshotError::Corrupt("sparse entries not sorted"));
-                        }
+                    if prev.is_some_and(|p| h <= p) {
+                        return Err(SnapshotError::Corrupt("sparse entries not sorted"));
                     }
-                    entries.push((h, r.f64()?));
+                    prev = Some(h);
+                    sums[h as usize] = r.f64()?;
                 }
                 let reports = r.u64()?;
-                Ok(AnyAccumulator::Sparse(SparseAccumulator {
-                    entries,
-                    orders,
-                    reports,
-                }))
+                Ok(DenseAccumulator { sums, reports })
             }
-            3 => {
+            TAG_COUNT_LANES => {
                 let n = r.len(8)?;
                 if n % 2 != 0 {
                     return Err(SnapshotError::Corrupt("soa lane count not even"));
                 }
-                let mut lanes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lanes.push(r.u64()?);
-                }
+                let sums = (0..n / 2)
+                    .map(|_| {
+                        let plus = i128::from(r.u64()?);
+                        exact_lane(plus - i128::from(r.u64()?))
+                    })
+                    .collect::<Result<_, _>>()?;
                 let reports = r.u64()?;
-                Ok(AnyAccumulator::Soa(SoaAccumulator { lanes, reports }))
+                Ok(DenseAccumulator { sums, reports })
             }
-            _ => Err(SnapshotError::Corrupt("unknown accumulator backend tag")),
+            _ => Err(SnapshotError::Corrupt("unknown accumulator layout tag")),
         }
     }
 }
 
-impl Accumulator for AnyAccumulator {
-    fn orders(&self) -> usize {
-        dispatch!(self, a => a.orders())
-    }
+/// The accumulator layout. [`Dense`](Self::Dense) is the only one; the
+/// type and [`new_accumulator`](Self::new_accumulator) are kept so callers
+/// that name the layout, the repository benchmark among them, compile
+/// unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AccumulatorKind {
+    /// [`DenseAccumulator`] — one `f64` per order.
+    Dense,
+}
 
-    #[inline]
-    fn record(&mut self, h: u32, bit: Sign) {
-        dispatch!(self, a => a.record(h, bit))
-    }
-
-    #[inline]
-    fn record_batch(&mut self, h: u32, sum: f64, count: u64) {
-        dispatch!(self, a => a.record_batch(h, sum, count))
-    }
-
-    #[inline]
-    fn record_counts(&mut self, h: u32, plus: u64, minus: u64) {
-        dispatch!(self, a => a.record_counts(h, plus, minus))
-    }
-
-    fn try_merge(&mut self, other: &Self) -> Result<(), AccumulatorError> {
-        match (self, other) {
-            (AnyAccumulator::Dense(a), AnyAccumulator::Dense(b)) => a.try_merge(b),
-            (AnyAccumulator::Fixed(a), AnyAccumulator::Fixed(b)) => a.try_merge(b),
-            (AnyAccumulator::Sparse(a), AnyAccumulator::Sparse(b)) => a.try_merge(b),
-            (AnyAccumulator::Soa(a), AnyAccumulator::Soa(b)) => a.try_merge(b),
-            (a, b) => Err(AccumulatorError::BackendMismatch {
-                expected: a.kind(),
-                got: b.kind(),
-            }),
-        }
-    }
-
-    #[inline]
-    fn order_sum(&self, h: u32) -> f64 {
-        dispatch!(self, a => a.order_sum(h))
-    }
-
-    #[inline]
-    fn take_order(&mut self, h: u32) -> f64 {
-        dispatch!(self, a => a.take_order(h))
-    }
-
-    fn reports(&self) -> u64 {
-        dispatch!(self, a => a.reports())
-    }
-
-    fn heap_bytes(&self) -> usize {
-        dispatch!(self, a => a.heap_bytes())
+impl AccumulatorKind {
+    /// An empty accumulator for `orders` orders.
+    pub fn new_accumulator(self, orders: usize) -> AnyAccumulator {
+        DenseAccumulator::new(orders)
     }
 }
+
+/// The accumulator the server and engines hold: an alias of
+/// [`DenseAccumulator`], kept for the repository benchmark's source
+/// compatibility.
+pub type AnyAccumulator = DenseAccumulator;
 
 #[cfg(test)]
 mod tests {
@@ -958,8 +375,7 @@ mod tests {
         out
     }
 
-    /// A parity-consistent random event stream (`(h, Sign)` pairs), valid
-    /// for every backend including the SoA count lanes.
+    /// A random event stream of `(h, Sign)` pairs.
     fn random_events(rng: &mut impl Rng, orders: usize, events: usize) -> Vec<(u32, Sign)> {
         (0..events)
             .map(|_| {
@@ -1074,9 +490,9 @@ mod tests {
                 got: 4
             })
         );
-        let mut any = AccumulatorKind::Sparse.new_accumulator(5);
+        let mut any = AccumulatorKind::Dense.new_accumulator(5);
         assert_eq!(
-            any.try_merge(&AccumulatorKind::Sparse.new_accumulator(2)),
+            any.try_merge(&AccumulatorKind::Dense.new_accumulator(2)),
             Err(AccumulatorError::ShapeMismatch {
                 expected: 5,
                 got: 2
@@ -1085,291 +501,142 @@ mod tests {
     }
 
     #[test]
-    fn backend_mismatch_is_a_typed_error() {
-        let mut dense = AccumulatorKind::Dense.new_accumulator(4);
-        let fixed = AccumulatorKind::Fixed.new_accumulator(4);
-        let err = dense.try_merge(&fixed).unwrap_err();
-        assert_eq!(
-            err,
-            AccumulatorError::BackendMismatch {
-                expected: AccumulatorKind::Dense,
-                got: AccumulatorKind::Fixed
-            }
-        );
-        assert!(err.to_string().contains("different backends"));
-    }
-
-    #[test]
-    fn every_backend_matches_dense_on_random_streams() {
-        // The storage-engine contract: identical record/record_batch/
-        // take_order sequences produce identical observable values on all
-        // four layouts — exactly, not within tolerance.
-        let mut rng = SeedSequence::new(2024).rng();
-        for _ in 0..30 {
-            let orders = rng.random_range(1..10usize);
-            let events = random_events(&mut rng, orders, 300);
-            // Parity-consistent batches: sum of `count` actual ±1 draws.
-            let batches: Vec<(u32, f64, u64)> = (0..20)
-                .map(|_| {
-                    let h = rng.random_range(0..orders) as u32;
-                    let count = rng.random_range(0..40u64);
-                    let sum: i64 = (0..count)
-                        .map(|_| if rng.random_bool(0.5) { 1i64 } else { -1 })
-                        .sum();
-                    (h, sum as f64, count)
-                })
-                .collect();
-
-            let mut accs: Vec<AnyAccumulator> = AccumulatorKind::ALL
-                .iter()
-                .map(|k| k.new_accumulator(orders))
-                .collect();
-            for acc in &mut accs {
-                for &(h, bit) in &events {
-                    acc.record(h, bit);
-                }
-                for &(h, sum, count) in &batches {
-                    acc.record_batch(h, sum, count);
-                }
-            }
-            let reference: Vec<f64> = (0..orders as u32).map(|h| accs[0].order_sum(h)).collect();
-            for acc in &mut accs {
-                assert_eq!(acc.orders(), orders);
-                for h in 0..orders as u32 {
-                    assert_eq!(
-                        acc.order_sum(h),
-                        reference[h as usize],
-                        "{} order {h}",
-                        acc.kind()
-                    );
-                }
-                assert_eq!(acc.reports(), accs_reports(&events, &batches));
-                // Draining and re-reading is identical across backends too.
-                for h in 0..orders as u32 {
-                    assert_eq!(acc.take_order(h), reference[h as usize], "{}", acc.kind());
-                    assert_eq!(acc.order_sum(h), 0.0);
-                }
-            }
-        }
-
-        fn accs_reports(events: &[(u32, Sign)], batches: &[(u32, f64, u64)]) -> u64 {
-            events.len() as u64 + batches.iter().map(|&(_, _, c)| c).sum::<u64>()
-        }
-    }
-
-    #[test]
     fn record_counts_equals_record_batch_on_every_backend() {
         // The packed-lane entry point must be value-identical to the
-        // sum/count form it restates, on every backend (three of which
-        // override the default for the integer fast path).
+        // sum/count form it restates.
         let mut rng = SeedSequence::new(777).rng();
         let orders = 6usize;
-        let batches: Vec<(u32, u64, u64)> = (0..60)
-            .map(|_| {
-                let h = rng.random_range(0..orders) as u32;
-                let plus = rng.random_range(0..100u64);
-                let minus = rng.random_range(0..100u64);
-                (h, plus, minus)
-            })
-            .collect();
-        for kind in AccumulatorKind::ALL {
-            let mut via_counts = kind.new_accumulator(orders);
-            let mut via_batch = kind.new_accumulator(orders);
-            for &(h, plus, minus) in &batches {
-                via_counts.record_counts(h, plus, minus);
-                via_batch.record_batch(h, (plus as i64 - minus as i64) as f64, plus + minus);
-            }
-            for h in 0..orders as u32 {
-                assert_eq!(
-                    via_counts.order_sum(h),
-                    via_batch.order_sum(h),
-                    "{kind} order {h}"
-                );
-            }
-            assert_eq!(via_counts.reports(), via_batch.reports(), "{kind}");
+        let mut via_counts = DenseAccumulator::new(orders);
+        let mut via_batch = DenseAccumulator::new(orders);
+        for _ in 0..60 {
+            let h = rng.random_range(0..orders) as u32;
+            let plus = rng.random_range(0..100u64);
+            let minus = rng.random_range(0..100u64);
+            via_counts.record_counts(h, plus, minus);
+            via_batch.record_batch(h, (plus as i64 - minus as i64) as f64, plus + minus);
+        }
+        assert_eq!(via_counts, via_batch);
+    }
+
+    /// Reads one accumulator payload written by `build`.
+    fn read(build: &dyn Fn(&mut SnapWriter)) -> Result<DenseAccumulator, SnapshotError> {
+        let mut w = SnapWriter::new();
+        build(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let acc = DenseAccumulator::read_state(&mut r)?;
+        r.finish().unwrap();
+        Ok(acc)
+    }
+
+    /// The dense accumulator the retired-layout payloads below all encode:
+    /// order sums `[2, 3, -1]` over 8 reports.
+    fn expected_from_retired_layout() -> DenseAccumulator {
+        DenseAccumulator {
+            sums: vec![2.0, 3.0, -1.0],
+            reports: 8,
         }
     }
 
     #[test]
-    fn every_backend_merges_like_dense() {
-        // Sharded accumulation + merge agrees with direct accumulation on
-        // every backend, for several shard counts.
-        let mut rng = SeedSequence::new(31337).rng();
-        let orders = 7usize;
-        let events = random_events(&mut rng, orders, 400);
-        for kind in AccumulatorKind::ALL {
-            let mut direct = kind.new_accumulator(orders);
-            for &(h, bit) in &events {
-                direct.record(h, bit);
-            }
-            for shards in [1usize, 2, 5, 8] {
-                let chunk = events.len().div_ceil(shards);
-                let mut out = kind.new_accumulator(orders);
-                for part in events.chunks(chunk) {
-                    let mut acc = kind.new_accumulator(orders);
-                    for &(h, bit) in part {
-                        acc.record(h, bit);
-                    }
-                    out.try_merge(&acc).unwrap();
-                }
-                for h in 0..orders as u32 {
-                    assert_eq!(
-                        out.order_sum(h),
-                        direct.order_sum(h),
-                        "{kind}, {shards} shards, order {h}"
-                    );
-                }
-                assert_eq!(out.reports(), direct.reports(), "{kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_point_saturates_at_the_bound() {
-        let mut acc = FixedPointAccumulator::with_bound(2, 2);
+    fn state_roundtrips_bit_identically() {
+        let mut acc = AccumulatorKind::Dense.new_accumulator(4);
         acc.record(0, Sign::Plus);
         acc.record(0, Sign::Plus);
-        assert!(!acc.saturated());
-        assert_eq!(acc.order_sum(0), 2.0);
-        // One past the bound clamps and flags, deterministically.
-        acc.record(0, Sign::Plus);
-        assert!(acc.saturated());
-        assert_eq!(acc.order_sum(0), 2.0);
-        // Negative direction too.
-        let mut neg = FixedPointAccumulator::with_bound(1, 1);
-        neg.record_batch(0, -5.0, 5);
-        assert!(neg.saturated());
-        assert_eq!(neg.order_sum(0), -1.0);
-        // Merging a saturated shard taints the target.
-        let mut clean = FixedPointAccumulator::with_bound(1, 1);
-        clean.try_merge(&neg).unwrap();
-        assert!(clean.saturated());
+        acc.record(2, Sign::Minus);
+        acc.record_batch(1, 3.0, 5);
+        let mut w = SnapWriter::new();
+        acc.write_state(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let back = AnyAccumulator::read_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, acc);
+        // The restored value must serialize to the same bytes again.
+        let mut w2 = SnapWriter::new();
+        back.write_state(&mut w2);
+        assert_eq!(w2.finish(), bytes);
     }
 
     #[test]
-    fn sparse_stays_compressed_under_take_order() {
-        let mut acc = SparseAccumulator::new(64);
-        assert_eq!(acc.heap_bytes(), 0, "empty map holds no heap");
-        acc.record(7, Sign::Plus);
-        acc.record(63, Sign::Minus);
-        acc.record(7, Sign::Plus);
-        assert_eq!(acc.touched(), 2);
-        assert_eq!(acc.order_sum(7), 2.0);
-        assert_eq!(acc.order_sum(0), 0.0, "untouched order reads zero");
-        // Closing the interval removes the entry — the map never grows
-        // past the touched set.
-        assert_eq!(acc.take_order(7), 2.0);
-        assert_eq!(acc.touched(), 1);
-        assert_eq!(acc.take_order(7), 0.0, "re-draining an absent order");
-        assert_eq!(acc.reports(), 3);
+    fn reads_fixed_point_state_into_dense_lanes() {
+        let acc = read(&|w| {
+            w.u8(1);
+            w.usize(3);
+            w.i64(2);
+            w.i64(3);
+            w.i64(-1);
+            w.u64(8);
+            w.i64(200);
+            w.bool(false);
+        })
+        .unwrap();
+        assert_eq!(acc, expected_from_retired_layout());
     }
 
     #[test]
-    fn soa_lanes_count_signs_exactly() {
-        let mut acc = SoaAccumulator::new(3);
-        acc.record(1, Sign::Plus);
-        acc.record(1, Sign::Plus);
-        acc.record(1, Sign::Minus);
-        assert_eq!(acc.lanes(1), (2, 1));
-        assert_eq!(acc.order_sum(1), 1.0);
-        // Batch decomposition: sum −2 over 4 reports = 1 plus, 3 minus.
-        acc.record_batch(2, -2.0, 4);
-        assert_eq!(acc.lanes(2), (1, 3));
-        assert_eq!(acc.order_sum(2), -2.0);
-        assert_eq!(acc.take_order(2), -2.0);
-        assert_eq!(acc.lanes(2), (0, 0));
-        assert_eq!(acc.reports(), 7);
+    fn refuses_saturated_fixed_point_state() {
+        let err = read(&|w| {
+            w.u8(1);
+            w.usize(1);
+            w.i64(2);
+            w.u64(3);
+            w.i64(2);
+            w.bool(true);
+        })
+        .unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(m) if m.contains("saturated")));
     }
 
     #[test]
-    #[should_panic(expected = "not a possible total")]
-    fn soa_rejects_parity_inconsistent_batches() {
-        // 3 ±1 reports can never sum to 2 — the count lanes catch what a
-        // float adder would silently absorb.
-        SoaAccumulator::new(1).record_batch(0, 2.0, 3);
+    fn reads_sparse_state_into_dense_lanes() {
+        let acc = read(&|w| {
+            w.u8(2);
+            w.usize(3);
+            w.usize(3);
+            for (h, s) in [(0, 2.0), (1, 3.0), (2, -1.0)] {
+                w.u32(h);
+                w.f64(s);
+            }
+            w.u64(8);
+        })
+        .unwrap();
+        assert_eq!(acc, expected_from_retired_layout());
+        // Orders without an entry read as zero lanes.
+        let gappy = read(&|w| {
+            w.u8(2);
+            w.usize(4);
+            w.usize(1);
+            w.u32(2);
+            w.f64(-3.0);
+            w.u64(3);
+        })
+        .unwrap();
+        assert_eq!(gappy.sums(), &[0.0, 0.0, -3.0, 0.0]);
     }
 
     #[test]
-    fn kind_parsing_and_construction() {
-        for kind in AccumulatorKind::ALL {
-            assert_eq!(AccumulatorKind::parse(kind.name()), Some(kind));
-            assert_eq!(
-                AccumulatorKind::parse(&kind.name().to_uppercase()),
-                Some(kind)
-            );
-            let acc = kind.new_accumulator(5);
-            assert_eq!(acc.kind(), kind);
-            assert_eq!(acc.orders(), 5);
-            assert_eq!(acc.reports(), 0);
-            let fresh = acc.fresh_like();
-            assert_eq!(fresh.kind(), kind);
-            assert_eq!(fresh.orders(), 5);
-        }
-        assert_eq!(AccumulatorKind::parse("colfam"), None);
-        assert_eq!(AccumulatorKind::Dense.to_string(), "dense");
-    }
-
-    #[test]
-    fn accumulator_for_installs_the_nk_bound() {
-        let params = ProtocolParams::new(100, 8, 2, 1.0, 0.05).unwrap();
-        let acc = AccumulatorKind::Fixed.accumulator_for(&params);
-        let AnyAccumulator::Fixed(fixed) = &acc else {
-            panic!("expected the fixed backend");
-        };
-        assert_eq!(fixed.bound(), 200); // n·k = 100·2
-        assert!(!acc.is_saturated());
-        // fresh_like preserves the bound for worker shards.
-        let AnyAccumulator::Fixed(shard) = acc.fresh_like() else {
-            panic!("expected the fixed backend");
-        };
-        assert_eq!(shard.bound(), 200);
-        // The other backends are bound-free and never saturate.
-        for kind in [
-            AccumulatorKind::Dense,
-            AccumulatorKind::Sparse,
-            AccumulatorKind::Soa,
-        ] {
-            assert!(!kind.accumulator_for(&params).is_saturated());
-        }
-    }
-
-    #[test]
-    fn any_accumulator_state_roundtrips_on_every_backend() {
-        let params = ProtocolParams::new(100, 8, 2, 1.0, 0.05).unwrap();
-        for kind in AccumulatorKind::ALL {
-            let mut acc = kind.accumulator_for(&params);
-            acc.record(0, Sign::Plus);
-            acc.record(0, Sign::Plus);
-            acc.record(2, Sign::Minus);
-            acc.record_batch(1, 3.0, 5);
-            let mut w = crate::snapshot::SnapWriter::new();
-            acc.write_state(&mut w);
-            let bytes = w.finish();
-            let mut r = crate::snapshot::SnapReader::new(&bytes).unwrap();
-            let back = AnyAccumulator::read_state(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(back, acc, "{kind}");
-            // The restored value must serialize to the same bytes again.
-            let mut w2 = crate::snapshot::SnapWriter::new();
-            back.write_state(&mut w2);
-            assert_eq!(w2.finish(), bytes, "{kind}");
-        }
+    fn reads_count_lane_state_into_dense_lanes() {
+        let acc = read(&|w| {
+            w.u8(3);
+            w.usize(6);
+            for (plus, minus) in [(2, 0), (3, 0), (1, 2)] {
+                w.u64(plus);
+                w.u64(minus);
+            }
+            w.u64(8);
+        })
+        .unwrap();
+        assert_eq!(acc, expected_from_retired_layout());
     }
 
     #[test]
     fn accumulator_read_state_rejects_malformed_payloads() {
-        use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
-        let bad = |build: &dyn Fn(&mut SnapWriter)| {
-            let mut w = SnapWriter::new();
-            build(&mut w);
-            let bytes = w.finish();
-            let mut r = SnapReader::new(&bytes).unwrap();
-            AnyAccumulator::read_state(&mut r).unwrap_err()
-        };
-        // Unknown backend tag.
+        let bad = |build: &dyn Fn(&mut SnapWriter)| read(build).unwrap_err();
+        // Unknown layout tag.
         assert!(matches!(
             bad(&|w| w.u8(42)),
-            SnapshotError::Corrupt("unknown accumulator backend tag")
+            SnapshotError::Corrupt("unknown accumulator layout tag")
         ));
         // Fixed-point with a non-positive bound.
         assert!(matches!(
@@ -1381,6 +648,28 @@ mod tests {
                 w.bool(false);
             }),
             SnapshotError::Corrupt("fixed-point bound not positive")
+        ));
+        // Fixed-point sums an f64 lane cannot hold exactly.
+        assert!(matches!(
+            bad(&|w| {
+                w.u8(1);
+                w.usize(1);
+                w.i64((1 << 53) + 1);
+                w.u64(0);
+                w.i64(i64::MAX);
+                w.bool(false);
+            }),
+            SnapshotError::Corrupt("integer lane sum beyond 2^53")
+        ));
+        // Sparse order count no horizon can have.
+        assert!(matches!(
+            bad(&|w| {
+                w.u8(2);
+                w.usize(usize::MAX);
+                w.usize(0);
+                w.u64(0);
+            }),
+            SnapshotError::Corrupt("sparse order count out of range")
         ));
         // Sparse entries out of order.
         assert!(matches!(

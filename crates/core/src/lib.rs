@@ -21,11 +21,8 @@
 //!   randomizer of Example 4.2, both behind one trait;
 //! * [`client`] — Algorithm 1, the client `Aclt`;
 //! * [`accumulator`] — the mergeable per-order accumulation monoid, the
-//!   seam along which `rtf-runtime` shards the server across workers —
-//!   now a pluggable storage-engine layer with four exact backends
-//!   (dense `f64`, fixed-point `i64`, compressed sparse, SoA count
-//!   lanes) selected by [`accumulator::AccumulatorKind`] /
-//!   `RTF_BACKEND`;
+//!   seam along which `rtf-runtime` shards the server across workers:
+//!   one exact `f64` lane per order;
 //! * [`server`] — Algorithm 2, the streaming server `Asvr`, a thin
 //!   checked-ingestion/finalisation facade over one accumulator;
 //! * [`protocol`] — an in-memory end-to-end driver (the message-level
@@ -68,7 +65,6 @@ pub mod snapshot;
 
 pub use accumulator::{
     Accumulator, AccumulatorError, AccumulatorKind, AnyAccumulator, DenseAccumulator,
-    FixedPointAccumulator, SoaAccumulator, SparseAccumulator,
 };
 pub use annulus::Annulus;
 pub use calibrate::{calibrate, Calibration};

@@ -120,11 +120,8 @@ fn run_in_memory_impl(
         .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
         .collect();
 
-    let mut server = Server::for_future_rand_schema(
-        *params,
-        crate::accumulator::AccumulatorKind::from_env(),
-        schema,
-    );
+    let mut server =
+        Server::for_future_rand_schema(*params, crate::accumulator::AccumulatorKind::Dense, schema);
     if with_store {
         server.enable_store();
     }

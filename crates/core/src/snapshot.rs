@@ -33,7 +33,7 @@
 //! [`SnapshotError::SchemaMismatch`].
 //!
 //! The field-by-field encodings of the domain types live next to their
-//! private fields (`Server`, `AnyAccumulator`, the runtime's batches and
+//! private fields (`Server`, `DenseAccumulator`, the runtime's batches and
 //! journals); this module only supplies the primitives: [`SnapWriter`],
 //! [`SnapReader`], and [`SnapshotError`].
 

@@ -6,8 +6,7 @@
 //! users that allocation/decode pair dominates the run. Workers in the
 //! batched pipeline append to reusable columnar buffers instead — one
 //! `Vec` per field, no per-report allocation — and fold them straight
-//! into a shard accumulator of whatever storage backend the deployment
-//! selected ([`rtf_core::accumulator::AccumulatorKind`]).
+//! into a shard accumulator.
 //!
 //! Two batch shapes exist:
 //!
@@ -260,34 +259,19 @@ impl ReportBatch {
             .map(|(i, (&u, &h))| (u, h, self.signs.get(i)))
     }
 
-    /// Folds every row into a shard accumulator of any storage backend —
-    /// the batched replacement for per-report `Server::ingest`.
+    /// Folds every row into a shard accumulator — the batched
+    /// replacement for per-report `Server::ingest`.
     ///
     /// Rows are walked as **runs of equal order** (the batched pipelines
     /// append whole order groups contiguously, so a batch is a handful of
     /// runs); each run's `+1` count comes from masked popcounts over the
-    /// packed sign lane — 64 reports per word op — and per-order totals
-    /// are handed over as **one `record_counts` per touched order**. For
-    /// integer-valued ±1 rows the result is identical on every backend —
-    /// sums and report counts are exact — while the sparse backend pays
-    /// one binary search per *order* rather than per *row*. The reference
-    /// row-by-row path is kept as [`fold_into_rows`](Self::fold_into_rows)
-    /// and asserted equivalent by unit + property tests.
+    /// packed sign lane — 64 reports per word op — and the run goes into
+    /// the accumulator as one `record_counts`. For integer-valued ±1 rows
+    /// the result equals the row-by-row reference
+    /// [`fold_into_rows`](Self::fold_into_rows) exactly, as unit and
+    /// property tests assert.
     pub fn fold_into<A: Accumulator>(&self, acc: &mut A) {
-        // Tiny batches (streaming chunks go down to one row) cost more
-        // to pre-aggregate than to record: zeroing the scratch dominates.
-        // Both paths are exactly equivalent, so this is timing only.
         let n = self.len();
-        if n < 16 {
-            self.fold_into_rows(acc);
-            return;
-        }
-        // Scratch indexed by order (u8 ⇒ 256 slots, ~4 KiB on the stack);
-        // only touched slots are read or reset, so the cost tracks the
-        // touched-order count, not the scratch size.
-        let mut plus = [0u64; 256];
-        let mut counts = [0u64; 256];
-        let mut touched: Vec<u8> = Vec::new();
         let mut a = 0usize;
         while a < n {
             let h = self.orders[a];
@@ -295,19 +279,9 @@ impl ReportBatch {
             while b < n && self.orders[b] == h {
                 b += 1;
             }
-            let i = h as usize;
-            if counts[i] == 0 {
-                touched.push(h);
-            }
-            plus[i] += self.signs.count_plus(a..b);
-            counts[i] += (b - a) as u64;
+            let plus = self.signs.count_plus(a..b);
+            acc.record_counts(u32::from(h), plus, (b - a) as u64 - plus);
             a = b;
-        }
-        // First-touch order: deterministic for a given batch, and the
-        // per-order batch totals commute across orders on every backend.
-        for &h in &touched {
-            let i = h as usize;
-            acc.record_counts(u32::from(h), plus[i], counts[i] - plus[i]);
         }
     }
 
@@ -663,7 +637,7 @@ impl FrameBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtf_core::accumulator::{AccumulatorKind, DenseAccumulator};
+    use rtf_core::accumulator::DenseAccumulator;
 
     #[test]
     fn report_batch_folds_like_direct_ingestion() {
@@ -691,30 +665,24 @@ mod tests {
 
     #[test]
     fn preaggregated_fold_equals_row_by_row_on_every_backend() {
-        // The sparse-batched-folds claim at unit scale: the per-order
-        // pre-aggregation pass is observation-for-observation identical
-        // to the row-by-row reference on all four layouts, including a
-        // batch that touches one order many times and another not at all.
+        // The per-run fold is observation-for-observation identical to
+        // the row-by-row reference, on a batch of short mixed-order runs
+        // that touches one order many times and another not at all.
         let mut batch = ReportBatch::new();
         for i in 0..200u32 {
             let h = [0u8, 0, 3, 5][i as usize % 4];
             let s = if i % 3 == 0 { Sign::Minus } else { Sign::Plus };
             batch.push(i, h, s);
         }
-        for kind in AccumulatorKind::ALL {
-            let mut fast = kind.new_accumulator(6);
-            let mut slow = kind.new_accumulator(6);
-            batch.fold_into(&mut fast);
-            batch.fold_into_rows(&mut slow);
-            for h in 0..6u32 {
-                assert_eq!(fast.order_sum(h), slow.order_sum(h), "{kind} order {h}");
-            }
-            assert_eq!(fast.reports(), slow.reports(), "{kind}");
-            assert_eq!(fast.reports(), 200, "{kind}");
-        }
+        let mut fast = DenseAccumulator::new(6);
+        let mut slow = DenseAccumulator::new(6);
+        batch.fold_into(&mut fast);
+        batch.fold_into_rows(&mut slow);
+        assert_eq!(fast, slow);
+        assert_eq!(fast.reports(), 200);
         // Empty batches fold to nothing on both paths.
         let empty = ReportBatch::new();
-        let mut acc = AccumulatorKind::Sparse.new_accumulator(4);
+        let mut acc = DenseAccumulator::new(4);
         empty.fold_into(&mut acc);
         assert_eq!(acc.reports(), 0);
     }
@@ -762,14 +730,10 @@ mod tests {
         batch.push(1, 1, Sign::Minus);
         batch.push(2, 1, Sign::Minus);
         batch.push(3, 2, Sign::Plus);
-        for kind in AccumulatorKind::ALL {
-            let mut acc = kind.new_accumulator(3);
-            batch.fold_into(&mut acc);
-            assert_eq!(acc.order_sum(0), 1.0, "{kind}");
-            assert_eq!(acc.order_sum(1), -2.0, "{kind}");
-            assert_eq!(acc.order_sum(2), 1.0, "{kind}");
-            assert_eq!(acc.reports(), 4, "{kind}");
-        }
+        let mut acc = DenseAccumulator::new(3);
+        batch.fold_into(&mut acc);
+        assert_eq!(acc.sums(), &[1.0, -2.0, 1.0]);
+        assert_eq!(acc.reports(), 4);
     }
 
     fn frame(emitted: u32, emitter: u32) -> Frame {

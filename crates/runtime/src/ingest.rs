@@ -58,7 +58,7 @@
 
 use crate::batch::{FrameBatch, ReportBatch};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use rtf_core::accumulator::{Accumulator, AccumulatorError, AnyAccumulator};
+use rtf_core::accumulator::{Accumulator, AccumulatorError, DenseAccumulator};
 use rtf_core::server::{Delivery, Server};
 use rtf_core::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use rtf_primitives::fastseed::SeedSchema;
@@ -283,7 +283,7 @@ enum WorkerMsg {
 
 /// What a worker hands back at every flush barrier.
 struct ShardFlush {
-    acc: AnyAccumulator,
+    acc: DenseAccumulator,
     frames: FrameBatch,
 }
 
@@ -305,12 +305,12 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    fn spawn(index: usize, mailbox_cap: usize, template: AnyAccumulator) -> Self {
+    fn spawn(index: usize, mailbox_cap: usize, orders: usize) -> Self {
         let (tx, rx) = bounded::<WorkerMsg>(mailbox_cap);
         let (flush_tx, flushes) = unbounded::<ShardFlush>();
         let handle = std::thread::Builder::new()
             .name(format!("rtf-ingest-{index}"))
-            .spawn(move || worker_loop(rx, flush_tx, template))
+            .spawn(move || worker_loop(rx, flush_tx, orders))
             .expect("spawn ingest worker");
         WorkerSlot {
             tx: Some(tx),
@@ -333,8 +333,8 @@ impl WorkerSlot {
 
 /// The worker body: fold trusted rows, buffer untrusted frames, ship
 /// both back at every flush barrier.
-fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<ShardFlush>, template: AnyAccumulator) {
-    let mut acc = template.fresh_like();
+fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<ShardFlush>, orders: usize) {
+    let mut acc = DenseAccumulator::new(orders);
     let mut frames = FrameBatch::new();
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -342,7 +342,7 @@ fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<ShardFlush>, template: AnyAc
             WorkerMsg::Frames(batch) => frames.append(&batch),
             WorkerMsg::Flush => {
                 let flush = ShardFlush {
-                    acc: std::mem::replace(&mut acc, template.fresh_like()),
+                    acc: std::mem::replace(&mut acc, DenseAccumulator::new(orders)),
                     frames: std::mem::take(&mut frames),
                 };
                 if out.send(flush).is_err() {
@@ -501,8 +501,7 @@ pub struct IngestService {
 impl IngestService {
     /// Starts `workers` ingestion workers (≥ 1; 0 clamps to 1) in front
     /// of `server`, with `mailbox_cap`-batch bounded mailboxes. Worker
-    /// shard accumulators inherit the server's storage backend and shape
-    /// via [`Server::new_shard`].
+    /// shard accumulators take the server's shape.
     ///
     /// All user registration must already have happened — the service
     /// starts at period 1.
@@ -510,7 +509,7 @@ impl IngestService {
         let workers = workers.max(1);
         let mailbox_cap = mailbox_cap.max(1);
         let slots = (0..workers)
-            .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.new_shard()))
+            .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.accumulator().orders()))
             .collect();
         IngestService {
             server: Some(server),
@@ -587,7 +586,7 @@ impl IngestService {
     ///
     /// # Errors
     /// Returns [`AccumulatorError`] if a flushed shard does not match the
-    /// server's backend/shape (impossible unless the service is misused —
+    /// server's shape (impossible unless the service is misused —
     /// shards are cut from the server itself). The failure is
     /// **transactional**: every shard is validated *before* any frame is
     /// classified or any accumulator merged, and the open period's
@@ -680,8 +679,8 @@ impl IngestService {
     pub fn kill_worker(&mut self, worker: usize) {
         let worker = worker % self.workers.len();
         self.workers[worker].stop();
-        let template = self.server_mut().new_shard();
-        self.workers[worker] = WorkerSlot::spawn(worker, self.mailbox_cap, template);
+        let orders = self.server_mut().accumulator().orders();
+        self.workers[worker] = WorkerSlot::spawn(worker, self.mailbox_cap, orders);
         self.stats.recoveries += 1;
         // Replay the delivery log. Clones go to the mailbox; the journal
         // keeps its entries in case this worker dies again before the
@@ -802,7 +801,7 @@ impl IngestService {
         }
         r.finish()?;
         let slots = (0..workers)
-            .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.new_shard()))
+            .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.accumulator().orders()))
             .collect();
         let service = IngestService {
             server: Some(server),
@@ -972,8 +971,8 @@ mod tests {
     }
 
     /// A trusted server with `users` order-0 clients registered.
-    fn trusted_server(users: usize, backend: AccumulatorKind) -> Server {
-        let mut server = Server::for_future_rand_with(params(), backend);
+    fn trusted_server(users: usize) -> Server {
+        let mut server = Server::for_future_rand(params());
         for _ in 0..users {
             server.register_user(0);
         }
@@ -995,8 +994,8 @@ mod tests {
     }
 
     /// Reference: the same traffic pushed straight through a server.
-    fn reference_estimates(backend: AccumulatorKind) -> Vec<f64> {
-        let mut server = trusted_server(12, backend);
+    fn reference_estimates() -> Vec<f64> {
+        let mut server = trusted_server(12);
         let mut estimates = Vec::new();
         for t in 1..=8u64 {
             let batch = batch_for(t, 0..12);
@@ -1010,27 +1009,25 @@ mod tests {
 
     #[test]
     fn streamed_intake_matches_direct_ingestion_on_every_backend() {
-        for backend in AccumulatorKind::ALL {
-            let expect = reference_estimates(backend);
-            for workers in [1usize, 2, 5] {
-                let server = trusted_server(12, backend);
-                let mut svc = IngestService::new(server, workers, 4);
-                let mut estimates = Vec::new();
-                for t in 1..=8u64 {
-                    // Rows split arbitrarily across workers and chunks —
-                    // the shard sums commute exactly.
-                    for (w, span) in [(0usize, 0u32..5), (workers - 1, 5..12)] {
-                        svc.submit_reports(w, batch_for(t, span));
-                    }
-                    estimates.push(svc.close_period(t).unwrap().estimate);
+        let expect = reference_estimates();
+        for workers in [1usize, 2, 5] {
+            let server = trusted_server(12);
+            let mut svc = IngestService::new(server, workers, 4);
+            let mut estimates = Vec::new();
+            for t in 1..=8u64 {
+                // Rows split arbitrarily across workers and chunks —
+                // the shard sums commute exactly.
+                for (w, span) in [(0usize, 0u32..5), (workers - 1, 5..12)] {
+                    svc.submit_reports(w, batch_for(t, span));
                 }
-                assert_eq!(estimates, expect, "{backend}, {workers} workers");
-                let (server, stats) = svc.finish();
-                assert_eq!(server.reports_ingested(), 12 * 8);
-                assert_eq!(stats.periods, 8);
-                assert_eq!(stats.rows, 12 * 8);
-                assert_eq!(stats.recoveries, 0);
+                estimates.push(svc.close_period(t).unwrap().estimate);
             }
+            assert_eq!(estimates, expect, "{workers} workers");
+            let (server, stats) = svc.finish();
+            assert_eq!(server.reports_ingested(), 12 * 8);
+            assert_eq!(stats.periods, 8);
+            assert_eq!(stats.rows, 12 * 8);
+            assert_eq!(stats.recoveries, 0);
         }
     }
 
@@ -1038,8 +1035,8 @@ mod tests {
     fn tiny_mailboxes_stall_producers_without_changing_values() {
         // cap = 1: every second submit must wait for the worker to drain
         // the first. The values are identical to the uncontended run.
-        let expect = reference_estimates(AccumulatorKind::Dense);
-        let server = trusted_server(12, AccumulatorKind::Dense);
+        let expect = reference_estimates();
+        let server = trusted_server(12);
         let mut svc = IngestService::new(server, 2, 1);
         assert_eq!(svc.mailbox_cap(), 1);
         let mut estimates = Vec::new();
@@ -1056,8 +1053,8 @@ mod tests {
 
     #[test]
     fn killed_worker_recovers_exactly_from_the_journal() {
-        let expect = reference_estimates(AccumulatorKind::Dense);
-        let server = trusted_server(12, AccumulatorKind::Dense);
+        let expect = reference_estimates();
+        let server = trusted_server(12);
         let mut svc = IngestService::new(server, 3, 2);
         let mut estimates = Vec::new();
         for t in 1..=8u64 {
@@ -1079,8 +1076,8 @@ mod tests {
 
     #[test]
     fn double_kill_in_one_period_still_recovers() {
-        let expect = reference_estimates(AccumulatorKind::Dense);
-        let server = trusted_server(12, AccumulatorKind::Dense);
+        let expect = reference_estimates();
+        let server = trusted_server(12);
         let mut svc = IngestService::new(server, 2, 2);
         let mut estimates = Vec::new();
         for t in 1..=8u64 {
@@ -1107,7 +1104,7 @@ mod tests {
         // Two registered order-0 users reporting through frames; a junk
         // frame must classify, not panic. Frames scattered across workers
         // must ingest in (emitted, emitter) order.
-        let mut server = Server::for_future_rand_with(params(), AccumulatorKind::Dense);
+        let mut server = Server::for_future_rand(params());
         assert!(server.register_client(0, 0));
         assert!(server.register_client(1, 0));
         let mut svc = IngestService::new(server, 2, 4);
@@ -1159,7 +1156,7 @@ mod tests {
 
     #[test]
     fn dropping_an_unfinished_service_does_not_hang() {
-        let server = trusted_server(4, AccumulatorKind::Dense);
+        let server = trusted_server(4);
         let mut svc = IngestService::new(server, 2, 1);
         svc.submit_reports(0, batch_for(1, 0..4));
         drop(svc); // workers drain and exit on mailbox disconnect
@@ -1242,8 +1239,8 @@ mod tests {
     fn kill_worker_wraps_out_of_range_indices() {
         // The WorkerKill contract says "taken modulo the worker count";
         // kill_worker itself must honor it instead of panicking.
-        let expect = reference_estimates(AccumulatorKind::Dense);
-        let server = trusted_server(12, AccumulatorKind::Dense);
+        let expect = reference_estimates();
+        let server = trusted_server(12);
         let mut svc = IngestService::new(server, 3, 2);
         let mut estimates = Vec::new();
         for t in 1..=8u64 {
@@ -1264,21 +1261,21 @@ mod tests {
     fn failed_close_aborts_cleanly_and_the_service_recovers() {
         use rtf_core::accumulator::AccumulatorError;
         // Force the AccumulatorError path: replace worker 0 with one
-        // whose shard template is a foreign backend, so its flush cannot
-        // merge into the dense server.
-        let expect = reference_estimates(AccumulatorKind::Dense);
-        let server = trusted_server(12, AccumulatorKind::Dense);
+        // whose shards have a foreign shape, so its flush cannot merge
+        // into the server.
+        let expect = reference_estimates();
+        let server = trusted_server(12);
         let mut svc = IngestService::new(server, 2, 4);
-        svc.workers[0] = WorkerSlot::spawn(0, 4, AccumulatorKind::Fixed.new_accumulator(4));
+        svc.workers[0] = WorkerSlot::spawn(0, 4, 9);
         svc.submit_reports(0, batch_for(1, 0..6));
         svc.submit_reports(1, batch_for(1, 6..12));
 
         let err = svc.close_period(1).unwrap_err();
         assert_eq!(
             err,
-            AccumulatorError::BackendMismatch {
-                expected: AccumulatorKind::Dense,
-                got: AccumulatorKind::Fixed
+            AccumulatorError::ShapeMismatch {
+                expected: 4,
+                got: 9
             }
         );
         // The abort must be clean: nothing closed, nothing ingested,
@@ -1312,46 +1309,44 @@ mod tests {
 
     #[test]
     fn snapshot_restore_roundtrips_mid_period_on_every_backend() {
-        for backend in AccumulatorKind::ALL {
-            let expect = reference_estimates(backend);
-            let server = trusted_server(12, backend);
-            let mut svc = IngestService::new(server, 2, 3);
-            let mut estimates = Vec::new();
-            for t in 1..=3u64 {
-                svc.submit_reports(0, batch_for(t, 0..6));
-                svc.submit_reports(1, batch_for(t, 6..12));
-                estimates.push(svc.close_period(t).unwrap().estimate);
-            }
-            // Period 4 is open with un-flushed traffic when we snapshot.
-            svc.submit_reports(0, batch_for(4, 0..6));
-            svc.submit_reports(1, batch_for(4, 6..12));
-            let bytes = svc.snapshot();
-            drop(svc); // the "process" dies mid-period
-
-            let mut restored = IngestService::restore(&bytes).unwrap();
-            assert_eq!(
-                restored.snapshot(),
-                bytes,
-                "{backend}: restore must re-snapshot byte-identically"
-            );
-            for t in 4..=8u64 {
-                if t > 4 {
-                    restored.submit_reports(0, batch_for(t, 0..6));
-                    restored.submit_reports(1, batch_for(t, 6..12));
-                }
-                estimates.push(restored.close_period(t).unwrap().estimate);
-            }
-            assert_eq!(estimates, expect, "{backend}: exact recovery");
-            let (server, stats) = restored.finish();
-            assert_eq!(server.reports_ingested(), 12 * 8, "{backend}");
-            assert_eq!(stats.periods, 8, "{backend}");
+        let expect = reference_estimates();
+        let server = trusted_server(12);
+        let mut svc = IngestService::new(server, 2, 3);
+        let mut estimates = Vec::new();
+        for t in 1..=3u64 {
+            svc.submit_reports(0, batch_for(t, 0..6));
+            svc.submit_reports(1, batch_for(t, 6..12));
+            estimates.push(svc.close_period(t).unwrap().estimate);
         }
+        // Period 4 is open with un-flushed traffic when we snapshot.
+        svc.submit_reports(0, batch_for(4, 0..6));
+        svc.submit_reports(1, batch_for(4, 6..12));
+        let bytes = svc.snapshot();
+        drop(svc); // the "process" dies mid-period
+
+        let mut restored = IngestService::restore(&bytes).unwrap();
+        assert_eq!(
+            restored.snapshot(),
+            bytes,
+            "restore must re-snapshot byte-identically"
+        );
+        for t in 4..=8u64 {
+            if t > 4 {
+                restored.submit_reports(0, batch_for(t, 0..6));
+                restored.submit_reports(1, batch_for(t, 6..12));
+            }
+            estimates.push(restored.close_period(t).unwrap().estimate);
+        }
+        assert_eq!(estimates, expect, "exact recovery");
+        let (server, stats) = restored.finish();
+        assert_eq!(server.reports_ingested(), 12 * 8);
+        assert_eq!(stats.periods, 8);
     }
 
     #[test]
     fn restart_in_place_is_exact_and_accounted() {
-        let expect = reference_estimates(AccumulatorKind::Dense);
-        let server = trusted_server(12, AccumulatorKind::Dense);
+        let expect = reference_estimates();
+        let server = trusted_server(12);
         let mut svc = IngestService::new(server, 3, 2);
         let mut estimates = Vec::new();
         for t in 1..=8u64 {
@@ -1386,7 +1381,7 @@ mod tests {
             IngestService::restore(b"not a snapshot").err().unwrap(),
             SnapshotError::BadMagic
         );
-        let server = trusted_server(4, AccumulatorKind::Dense);
+        let server = trusted_server(4);
         let mut svc = IngestService::new(server, 2, 2);
         svc.submit_reports(0, batch_for(1, 0..4));
         let bytes = svc.snapshot();
@@ -1455,9 +1450,9 @@ mod tests {
         // explicit-directory core of the RTF_SNAPSHOT_DIR convenience;
         // the env wrapper is not driven here because env mutation races
         // parallel test threads).
-        let expect = reference_estimates(AccumulatorKind::Dense);
+        let expect = reference_estimates();
         let dir = std::env::temp_dir().join(format!("rtf-snap-test-{}", std::process::id()));
-        let server = trusted_server(12, AccumulatorKind::Dense);
+        let server = trusted_server(12);
         let mut svc = IngestService::new(server, 2, 2);
         for t in 1..=4u64 {
             svc.submit_reports(0, batch_for(t, 0..6));

@@ -16,12 +16,7 @@
 //!   schedule-independent;
 //! * [`batch`] — columnar `{user, order, sign}` report batches that
 //!   replace per-report `Bytes` frames on the hot path, folding straight
-//!   into mergeable shard accumulators of any storage backend
-//!   ([`AccumulatorKind`], re-exported from `rtf_core::accumulator`;
-//!   `RTF_BACKEND` selects the default next to `RTF_WORKERS`);
-//! * [`persistent`] — [`PersistentPool`]: long-lived worker threads
-//!   shared across `run_trials` executions, so repeated small maps pay
-//!   the thread-spawn cost once per process instead of once per call;
+//!   into mergeable shard accumulators;
 //! * [`ingest`] — [`IngestService`]: the long-running streaming
 //!   ingestion front — per-period batch intake into bounded per-worker
 //!   mailboxes (backpressure blocks producers, never drops), shard
@@ -45,7 +40,6 @@
 pub mod batch;
 pub mod ingest;
 pub mod mode;
-pub mod persistent;
 pub mod pool;
 
 pub use batch::{Frame, FrameBatch, ReportBatch, SignLane};
@@ -54,11 +48,7 @@ pub use ingest::{
     PeriodClose, ServiceRestart, SnapshotFileError, WorkerKill,
 };
 pub use mode::ExecMode;
-pub use persistent::{shared_pool, PersistentPool};
 pub use pool::{partition, shard_of, Shard, WorkerPool};
-// The storage-backend selector lives with the accumulators in rtf-core;
-// re-exported here so runtime configuration (`RTF_WORKERS` → ExecMode,
-// `RTF_BACKEND` → AccumulatorKind, `RTF_SEED_SCHEMA` → SeedSchema) is
-// importable from one place.
-pub use rtf_core::accumulator::AccumulatorKind;
+// Re-exported so runtime configuration (`RTF_WORKERS` → ExecMode,
+// `RTF_SEED_SCHEMA` → SeedSchema) is importable from one place.
 pub use rtf_primitives::fastseed::SeedSchema;

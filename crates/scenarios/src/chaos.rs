@@ -24,7 +24,6 @@ use crate::config::Scenario;
 use crate::engine::{run_scenario_with, ScenarioOutcome};
 use crate::live::run_scenario_live_with;
 use crate::oracle::MODE_AGREEMENT_WORKERS;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
 use rtf_runtime::ingest::LiveConfig;
 use rtf_runtime::ExecMode;
@@ -115,7 +114,7 @@ impl ChaosPlan {
 
 /// Runs `plan` through both live engines — the honest event-driven
 /// schedule and the fault-injected `scenario` — at every worker count in
-/// [`MODE_AGREEMENT_WORKERS`] on `backend`, with a deliberately hostile
+/// [`MODE_AGREEMENT_WORKERS`], with a deliberately hostile
 /// service shape (2-batch mailboxes, 7-row chunks), and asserts:
 ///
 /// * every outcome field is value-for-value identical to the sequential
@@ -131,7 +130,6 @@ impl ChaosPlan {
 /// sequential reference value-for-value:
 ///
 /// ```
-/// use rtf_core::accumulator::AccumulatorKind;
 /// use rtf_core::params::ProtocolParams;
 /// use rtf_primitives::seeding::SeedSequence;
 /// use rtf_scenarios::chaos::{assert_chaos_recovery, ChaosPlan};
@@ -149,7 +147,6 @@ impl ChaosPlan {
 ///     11,
 ///     &Scenario::honest().with_dropout(0.1),
 ///     &plan,
-///     AccumulatorKind::Dense,
 /// );
 /// ```
 ///
@@ -162,13 +159,12 @@ pub fn assert_chaos_recovery(
     seed: u64,
     scenario: &Scenario,
     plan: &ChaosPlan,
-    backend: AccumulatorKind,
 ) {
     let ev_seq = run_event_driven_with(params, population, seed, ExecMode::Sequential);
     let sc_seq = run_scenario_with(params, population, seed, scenario, ExecMode::Sequential);
     for w in MODE_AGREEMENT_WORKERS {
         assert_chaos_recovery_at(
-            params, population, seed, scenario, plan, backend, w, &ev_seq, &sc_seq,
+            params, population, seed, scenario, plan, w, &ev_seq, &sc_seq,
         );
     }
 }
@@ -182,7 +178,6 @@ fn assert_chaos_recovery_at(
     seed: u64,
     scenario: &Scenario,
     plan: &ChaosPlan,
-    backend: AccumulatorKind,
     workers: usize,
     ev_seq: &EventDrivenOutcome,
     sc_seq: &ScenarioOutcome,
@@ -191,9 +186,9 @@ fn assert_chaos_recovery_at(
         .configure(workers)
         .with_mailbox_cap(2)
         .with_chunk_rows(7);
-    let label = format!("chaos[{}] live({workers}) {backend}", plan.label());
+    let label = format!("chaos[{}] live({workers})", plan.label());
 
-    let (ev, ev_stats) = run_event_driven_live_with(params, population, seed, &cfg, backend);
+    let (ev, ev_stats) = run_event_driven_live_with(params, population, seed, &cfg);
     assert_eq!(
         ev.estimates, ev_seq.estimates,
         "{label}: event-driven estimates diverge from sequential (seed {seed})"
@@ -201,7 +196,7 @@ fn assert_chaos_recovery_at(
     assert_eq!(ev.group_sizes, ev_seq.group_sizes, "{label}: groups");
     assert_eq!(ev.wire, ev_seq.wire, "{label}: wire stats");
 
-    let (sc, sc_stats) = run_scenario_live_with(params, population, seed, scenario, &cfg, backend);
+    let (sc, sc_stats) = run_scenario_live_with(params, population, seed, scenario, &cfg);
     assert_eq!(
         sc.estimates, sc_seq.estimates,
         "{label}: scenario estimates diverge from sequential (seed {seed})"
@@ -275,7 +270,7 @@ mod tests {
             .with_mid_restart(8)
             .with_kill(1, 8)
             .with_between_restart(12);
-        assert_chaos_recovery(&params, &pop, 57, &storm, &plan, AccumulatorKind::Sparse);
+        assert_chaos_recovery(&params, &pop, 57, &storm, &plan);
     }
 
     #[test]
@@ -285,14 +280,7 @@ mod tests {
         let (params, pop) = setup(60, 8, 2, 97);
         let plan = ChaosPlan::new().with_mid_restart(99);
         let caught = std::panic::catch_unwind(|| {
-            assert_chaos_recovery(
-                &params,
-                &pop,
-                3,
-                &Scenario::honest(),
-                &plan,
-                AccumulatorKind::Dense,
-            );
+            assert_chaos_recovery(&params, &pop, 3, &Scenario::honest(), &plan);
         });
         assert!(caught.is_err());
     }

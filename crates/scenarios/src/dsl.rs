@@ -49,7 +49,7 @@
 //! The DSL adds no execution path of its own: compiled specs run through
 //! the same three engines as hand-built scenarios, and
 //! [`registry::assert_spec_agreement`] pins sequential ≡ batched ≡ live
-//! across all four accumulator backends for every spec.
+//! for every spec.
 
 pub mod expect;
 pub mod registry;

@@ -6,15 +6,13 @@
 //! their file stem: `resolve_workload("flash-crowd")` loads
 //! `<dir>/flash-crowd.toml`. [`assert_spec_agreement`] is the oracle
 //! every committed workload is pinned by in CI: one spec, one seed,
-//! sequential ≡ batched ≡ live, value-for-value, across all four
-//! accumulator backends — plus the residual fault-RNG digest on the
-//! offline engines.
+//! sequential ≡ batched ≡ live, value-for-value — plus the residual
+//! fault-RNG digest on the offline engines.
 
 use super::expect::check_expectation;
 use super::{ScenarioSpec, SpecError, SpecErrorKind};
 use crate::engine::{run_scenario_timeline_digest, ScenarioOutcome};
 use crate::live::run_scenario_live_timeline;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_runtime::ingest::IngestStats;
 use rtf_runtime::ExecMode;
@@ -78,16 +76,15 @@ pub fn resolve_workload(name_or_path: &str) -> Result<(PathBuf, ScenarioSpec), S
 const AGREEMENT_WORKERS: usize = 3;
 
 /// The spec-level differential oracle: runs the spec through all three
-/// engines on every accumulator backend and asserts value-for-value
-/// agreement, with the sequential Dense run as the reference.
+/// engines and asserts value-for-value agreement, with the sequential
+/// run as the reference.
 ///
-/// * sequential ≡ batched on every backend, including the residual
-///   fault-RNG digest (the fault layer consumed identical randomness);
-/// * live ≡ sequential on every backend, under a deliberately hostile
-///   ingestion shape (mailbox capacity 2, chunked resubmission) and the
-///   spec's full chaos plan — so for chaos specs the differential
-///   identity *is* the recovery proof;
-/// * the live ledger is identical across backends.
+/// * sequential ≡ batched, including the residual fault-RNG digest (the
+///   fault layer consumed identical randomness);
+/// * live ≡ sequential, under a deliberately hostile ingestion shape
+///   (mailbox capacity 2, chunked resubmission) and the spec's full chaos
+///   plan — so for chaos specs the differential identity *is* the
+///   recovery proof.
 ///
 /// Panics on any divergence (test-harness style). Returns the reference
 /// outcome and the live ledger for [`check_expectation`].
@@ -109,61 +106,34 @@ pub fn assert_spec_agreement(
         seed,
         timeline,
         ExecMode::Sequential,
-        AccumulatorKind::Dense,
         schema,
     );
 
-    let mut ledger: Option<IngestStats> = None;
-    for backend in AccumulatorKind::ALL {
-        let (batched, batched_digest) = run_scenario_timeline_digest(
-            params,
-            &population,
-            seed,
-            timeline,
-            ExecMode::Parallel(AGREEMENT_WORKERS),
-            backend,
-            schema,
-        );
-        assert_outcome_eq(&reference, &batched, spec, &format!("batched/{backend:?}"));
-        assert_eq!(
-            batched_digest, ref_digest,
-            "workload `{}`: fault-RNG digest diverged on batched/{backend:?}",
-            spec.name
-        );
+    let (batched, batched_digest) = run_scenario_timeline_digest(
+        params,
+        &population,
+        seed,
+        timeline,
+        ExecMode::Parallel(AGREEMENT_WORKERS),
+        schema,
+    );
+    assert_outcome_eq(&reference, &batched, spec, "batched");
+    assert_eq!(
+        batched_digest, ref_digest,
+        "workload `{}`: fault-RNG digest diverged on batched",
+        spec.name
+    );
 
-        let config = compiled
-            .chaos
-            .configure(AGREEMENT_WORKERS)
-            .with_mailbox_cap(2)
-            .with_chunk_rows(7);
-        let (live, stats) = run_scenario_live_timeline(
-            params,
-            &population,
-            seed,
-            timeline,
-            &config,
-            backend,
-            schema,
-        );
-        assert_outcome_eq(&reference, &live, spec, &format!("live/{backend:?}"));
-        match &ledger {
-            None => ledger = Some(stats),
-            Some(first) => {
-                // `flushed_acc_bytes` measures accumulator heap released
-                // at snapshots, which legitimately differs per backend —
-                // every other ledger column must agree.
-                let mut normalized = stats;
-                normalized.flushed_acc_bytes = first.flushed_acc_bytes;
-                assert_eq!(
-                    *first, normalized,
-                    "workload `{}`: live ingest ledger diverged on {backend:?}",
-                    spec.name
-                );
-            }
-        }
-    }
+    let config = compiled
+        .chaos
+        .configure(AGREEMENT_WORKERS)
+        .with_mailbox_cap(2)
+        .with_chunk_rows(7);
+    let (live, stats) =
+        run_scenario_live_timeline(params, &population, seed, timeline, &config, schema);
+    assert_outcome_eq(&reference, &live, spec, "live");
 
-    (reference, ledger.expect("at least one backend ran"))
+    (reference, stats)
 }
 
 /// Convenience wrapper: agreement plus the spec's registered

@@ -175,11 +175,9 @@ pub fn run_scenario(
     run_scenario_with(params, population, seed, scenario, ExecMode::from_env())
 }
 
-/// Runs the fault-injected engine in an explicit [`ExecMode`], on the
-/// accumulator backend selected by `RTF_BACKEND`
-/// ([`AccumulatorKind::from_env`]; default dense). Every outcome field —
-/// estimates, delivery log, wire stats, fault counts — is
-/// value-for-value identical across modes and worker counts.
+/// Runs the fault-injected engine in an explicit [`ExecMode`]. Every
+/// outcome field — estimates, delivery log, wire stats, fault counts —
+/// is value-for-value identical across modes and worker counts.
 pub fn run_scenario_with(
     params: &ProtocolParams,
     population: &Population,
@@ -187,40 +185,17 @@ pub fn run_scenario_with(
     scenario: &Scenario,
     mode: ExecMode,
 ) -> ScenarioOutcome {
-    run_scenario_with_backend(
-        params,
-        population,
-        seed,
-        scenario,
-        mode,
-        AccumulatorKind::from_env(),
-    )
-}
-
-/// Runs the fault-injected engine in an explicit [`ExecMode`] on an
-/// explicit accumulator backend. The backend is invisible in every
-/// outcome field (integer-exact storage), which
-/// [`crate::oracle::assert_backend_agreement`] proves.
-pub fn run_scenario_with_backend(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-    mode: ExecMode,
-    backend: AccumulatorKind,
-) -> ScenarioOutcome {
     run_scenario_schema(
         params,
         population,
         seed,
         scenario,
         mode,
-        backend,
         SeedSchema::from_env(),
     )
 }
 
-/// [`run_scenario_with_backend`] under an explicit client randomness
+/// [`run_scenario_with`] under an explicit client randomness
 /// schema (instead of `RTF_SEED_SCHEMA`). Fault decisions come from the
 /// disjoint `FAULT_STREAM` either way — the schema changes only where
 /// honest clients' zero-slot report bits come from.
@@ -230,7 +205,6 @@ pub fn run_scenario_schema(
     seed: u64,
     scenario: &Scenario,
     mode: ExecMode,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> ScenarioOutcome {
     run_scenario_timeline(
@@ -239,7 +213,6 @@ pub fn run_scenario_schema(
         seed,
         &FaultTimeline::constant(*scenario),
         mode,
-        backend,
         schema,
     )
 }
@@ -252,7 +225,7 @@ pub fn run_scenario_schema(
 /// storms — the DSL's workload layer compiles to exactly this call).
 ///
 /// Every outcome field is value-for-value identical across execution
-/// modes, worker counts, backends, and the live runner
+/// modes, worker counts, and the live runner
 /// ([`crate::live::run_scenario_live_timeline`]).
 pub fn run_scenario_timeline(
     params: &ProtocolParams,
@@ -260,10 +233,9 @@ pub fn run_scenario_timeline(
     seed: u64,
     timeline: &FaultTimeline,
     mode: ExecMode,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> ScenarioOutcome {
-    run_scenario_timeline_digest(params, population, seed, timeline, mode, backend, schema).0
+    run_scenario_timeline_digest(params, population, seed, timeline, mode, schema).0
 }
 
 /// [`run_scenario_schema`] additionally returning the **residual
@@ -273,15 +245,15 @@ pub fn run_scenario_timeline(
 /// so equal digests across execution modes prove the engines consumed
 /// every fault draw stream-for-stream — a strictly stronger check than
 /// outcome equality (a path that skipped one draw and compensated with
-/// another could still agree on every observable field).
-#[allow(clippy::too_many_arguments)]
+/// another could still agree on every observable field). The layout
+/// argument names the only layout, [`AccumulatorKind::Dense`].
 pub fn run_scenario_schema_digest(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     scenario: &Scenario,
     mode: ExecMode,
-    backend: AccumulatorKind,
+    _layout: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, u64) {
     run_scenario_timeline_digest(
@@ -290,7 +262,6 @@ pub fn run_scenario_schema_digest(
         seed,
         &FaultTimeline::constant(*scenario),
         mode,
-        backend,
         schema,
     )
 }
@@ -299,14 +270,12 @@ pub fn run_scenario_schema_digest(
 /// fault-stream digest (see [`run_scenario_schema_digest`] — the digest
 /// contract is identical for shaped timelines, because the per-period
 /// schedule changes *which* coins are flipped, never who flips them).
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_timeline_digest(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     timeline: &FaultTimeline,
     mode: ExecMode,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, u64) {
     timeline.validate(params.d());
@@ -316,19 +285,12 @@ pub fn run_scenario_timeline_digest(
     match mode {
         ExecMode::Sequential => {
             let (out, _, digest) =
-                run_scenario_sequential_impl(params, population, seed, timeline, backend, schema);
+                run_scenario_sequential_impl(params, population, seed, timeline, schema);
             (out, digest)
         }
         ExecMode::Parallel(w) => {
-            let (out, _, digest) = run_scenario_batched_impl(
-                params,
-                population,
-                seed,
-                timeline,
-                w.max(1),
-                backend,
-                schema,
-            );
+            let (out, _, digest) =
+                run_scenario_batched_impl(params, population, seed, timeline, w.max(1), schema);
             (out, digest)
         }
     }
@@ -345,12 +307,11 @@ fn run_scenario_sequential_impl(
     population: &Population,
     seed: u64,
     timeline: &FaultTimeline,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
     let composed = composed_tables(params);
 
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::Dense, schema);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let root = SeedSequence::new(seed);
@@ -530,14 +491,15 @@ pub struct ScenarioStageTimings {
 
 /// [`run_scenario_schema`]'s batched pipeline with per-stage wall-clock
 /// timings. Values are identical to the untimed run (the timers only
-/// bracket existing stages).
+/// bracket existing stages). The layout argument names the only layout,
+/// [`AccumulatorKind::Dense`].
 pub fn run_scenario_batched_timed(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     scenario: &Scenario,
     workers: usize,
-    backend: AccumulatorKind,
+    _layout: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
     let timeline = FaultTimeline::constant(*scenario);
@@ -545,15 +507,8 @@ pub fn run_scenario_batched_timed(
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
-    let (out, timings, _) = run_scenario_batched_impl(
-        params,
-        population,
-        seed,
-        &timeline,
-        workers.max(1),
-        backend,
-        schema,
-    );
+    let (out, timings, _) =
+        run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), schema);
     (out, timings)
 }
 
@@ -566,7 +521,6 @@ pub fn run_scenario_sequential_timed(
     population: &Population,
     seed: u64,
     scenario: &Scenario,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
     let timeline = FaultTimeline::constant(*scenario);
@@ -575,7 +529,7 @@ pub fn run_scenario_sequential_timed(
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
     let (out, timings, _) =
-        run_scenario_sequential_impl(params, population, seed, &timeline, backend, schema);
+        run_scenario_sequential_impl(params, population, seed, &timeline, schema);
     (out, timings)
 }
 
@@ -668,14 +622,12 @@ fn planned_floor(shards: &[ShardEmission], n: usize, workers: usize, t: u64, fra
     0
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_scenario_batched_impl(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     timeline: &FaultTimeline,
     workers: usize,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
     let composed = composed_tables(params);
@@ -884,7 +836,7 @@ fn run_scenario_batched_impl(
     // replay the merged residue mailbox through the floor-checked path
     // and fold the honest span runs arithmetically.
     let register_start = std::time::Instant::now();
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::Dense, schema);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let mut digest = 0u64;
@@ -1421,15 +1373,8 @@ mod tests {
                 AccumulatorKind::Dense,
                 SeedSchema::V1Std,
             );
-            let (b, db) = run_scenario_timeline_digest(
-                &params,
-                &pop,
-                19,
-                &timeline,
-                mode,
-                AccumulatorKind::Dense,
-                SeedSchema::V1Std,
-            );
+            let (b, db) =
+                run_scenario_timeline_digest(&params, &pop, 19, &timeline, mode, SeedSchema::V1Std);
             assert_eq!(a.estimates, b.estimates);
             assert_eq!(a.delivery, b.delivery);
             assert_eq!(a.faults, b.faults);
@@ -1467,7 +1412,6 @@ mod tests {
             23,
             &timeline,
             ExecMode::Sequential,
-            AccumulatorKind::Dense,
             SeedSchema::V1Std,
         );
         assert!(seq.faults.dropped > 0, "the pulse must fire");
@@ -1480,7 +1424,6 @@ mod tests {
                 23,
                 &timeline,
                 ExecMode::Parallel(w),
-                AccumulatorKind::Dense,
                 SeedSchema::V1Std,
             );
             assert_eq!(par.estimates, seq.estimates, "{w} workers");
@@ -1517,7 +1460,6 @@ mod tests {
             31,
             &timeline,
             ExecMode::Sequential,
-            AccumulatorKind::Dense,
             SeedSchema::V1Std,
         );
         assert!(out.faults.dropped > 0);

@@ -36,8 +36,8 @@
 //!   fault timeline, chaos plan, and a registered (never vacuous)
 //!   expectation; the named workload library under `workloads/*.toml`
 //!   ([`dsl::resolve_workload`]); and the spec-level oracle
-//!   [`dsl::verify_workload`] (sequential ≡ batched ≡ live on all four
-//!   backends, expectation asserted to fire). See
+//!   [`dsl::verify_workload`] (sequential ≡ batched ≡ live, expectation
+//!   asserted to fire). See
 //!   `docs/authoring-scenarios.md` and `docs/workload-catalog.md`.
 //!
 //! Entry points: [`run_scenario`] for one fault-injected execution,
@@ -61,14 +61,12 @@ pub use dsl::{ExpectationSpec, ScenarioSpec, SpecError};
 pub use engine::{
     run_scenario, run_scenario_batched_timed, run_scenario_schema, run_scenario_schema_digest,
     run_scenario_sequential_timed, run_scenario_timeline, run_scenario_timeline_digest,
-    run_scenario_with, run_scenario_with_backend, FaultCounts, ScenarioOutcome,
-    ScenarioStageTimings,
+    run_scenario_with, FaultCounts, ScenarioOutcome, ScenarioStageTimings,
 };
 pub use live::{
     run_scenario_live, run_scenario_live_schema, run_scenario_live_timeline, run_scenario_live_with,
 };
 pub use oracle::{
-    assert_backend_agreement, assert_exact_agreement, assert_live_agreement, assert_mode_agreement,
-    assert_schema_agreement, faulty_envelope, measure_aggregate_agreement,
-    measure_aggregate_agreement_with, tolerance_band,
+    assert_exact_agreement, assert_live_agreement, assert_mode_agreement, assert_schema_agreement,
+    faulty_envelope, measure_aggregate_agreement, measure_aggregate_agreement_with, tolerance_band,
 };

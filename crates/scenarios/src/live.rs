@@ -49,10 +49,9 @@ use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
 use rtf_streams::population::Population;
 
 /// Runs the fault-injected schedule through the streaming ingestion
-/// service with `workers` ingestion workers, on the
-/// `RTF_BACKEND`-selected backend and `RTF_MAILBOX_CAP`-selected mailbox
-/// capacity. Every outcome field is value-for-value identical to
-/// [`run_scenario`](crate::engine::run_scenario).
+/// service with `workers` ingestion workers and the
+/// `RTF_MAILBOX_CAP`-selected mailbox capacity. Every outcome field is
+/// value-for-value identical to [`run_scenario`](crate::engine::run_scenario).
 pub fn run_scenario_live(
     params: &ProtocolParams,
     population: &Population,
@@ -66,13 +65,12 @@ pub fn run_scenario_live(
         seed,
         scenario,
         &LiveConfig::new(workers),
-        AccumulatorKind::from_env(),
     )
     .0
 }
 
-/// [`run_scenario_live`] under an explicit [`LiveConfig`] and storage
-/// backend, also returning the service's [`IngestStats`].
+/// [`run_scenario_live`] under an explicit [`LiveConfig`], also
+/// returning the service's [`IngestStats`].
 ///
 /// # Panics
 /// Panics up front if any configured fault names a period outside
@@ -83,7 +81,6 @@ pub fn run_scenario_live_with(
     seed: u64,
     scenario: &Scenario,
     config: &LiveConfig,
-    backend: AccumulatorKind,
 ) -> (ScenarioOutcome, IngestStats) {
     run_scenario_live_schema(
         params,
@@ -91,7 +88,6 @@ pub fn run_scenario_live_with(
         seed,
         scenario,
         config,
-        backend,
         SeedSchema::from_env(),
     )
 }
@@ -104,7 +100,6 @@ pub fn run_scenario_live_schema(
     seed: u64,
     scenario: &Scenario,
     config: &LiveConfig,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, IngestStats) {
     run_scenario_live_timeline(
@@ -113,7 +108,6 @@ pub fn run_scenario_live_schema(
         seed,
         &FaultTimeline::constant(*scenario),
         config,
-        backend,
         schema,
     )
 }
@@ -127,14 +121,12 @@ pub fn run_scenario_live_schema(
 /// [`run_scenario_timeline`](crate::engine::run_scenario_timeline) on
 /// the same timeline, for every worker count, mailbox capacity, chunk
 /// size, and chaos plan.
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_live_timeline(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     timeline: &FaultTimeline,
     config: &LiveConfig,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, IngestStats) {
     timeline.validate(params.d());
@@ -153,7 +145,7 @@ pub fn run_scenario_live_timeline(
 
     // Announce + build clients exactly like the sequential engine (same
     // RNG order), so honest bits and fault decisions are identical.
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::Dense, schema);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let mut slots: Vec<ClientSlot> = Vec::with_capacity(n);
@@ -273,7 +265,7 @@ pub fn run_scenario_live_timeline(
         service = config.apply_pre_close(service, t);
         let close = service
             .close_period(t)
-            .expect("service shards share the server's backend and shape");
+            .expect("service shards share the server's shape");
         wire.record_report_batch(close.frames.len() as u64);
         for (frame, outcome) in close.frames.iter().zip(&close.outcomes) {
             if frame.byzantine && *outcome == Delivery::Accepted {
@@ -366,8 +358,7 @@ mod tests {
                 .with_mailbox_cap(1)
                 .with_chunk_rows(4)
                 .with_kill(0, 16);
-            let (live, stats) =
-                run_scenario_live_with(&params, &pop, 11, &storm(), &cfg, AccumulatorKind::Dense);
+            let (live, stats) = run_scenario_live_with(&params, &pop, 11, &storm(), &cfg);
             assert_outcomes_equal(&live, &seq, &format!("kill at w={workers}"));
             assert_eq!(stats.recoveries, 1);
         }
@@ -392,8 +383,7 @@ mod tests {
                 .with_restart(12)
                 .with_kill(workers.saturating_sub(1), 12)
                 .with_restart_after(20);
-            let (live, stats) =
-                run_scenario_live_with(&params, &pop, 17, &storm(), &cfg, AccumulatorKind::Dense);
+            let (live, stats) = run_scenario_live_with(&params, &pop, 17, &storm(), &cfg);
             assert_outcomes_equal(&live, &seq, &format!("restart at w={workers}"));
             assert_eq!(stats.restarts, 2, "w={workers}: both restarts fired");
             assert_eq!(stats.recoveries, 1, "w={workers}: the kill fired");
@@ -424,7 +414,6 @@ mod tests {
             29,
             &timeline,
             rtf_runtime::ExecMode::Sequential,
-            AccumulatorKind::Dense,
             SeedSchema::V1Std,
         );
         assert!(seq.faults.dropped > 0 && seq.faults.delayed > 0);
@@ -432,15 +421,8 @@ mod tests {
             let cfg = LiveConfig::new(workers)
                 .with_mailbox_cap(2)
                 .with_chunk_rows(7);
-            let (live, _) = run_scenario_live_timeline(
-                &params,
-                &pop,
-                29,
-                &timeline,
-                &cfg,
-                AccumulatorKind::Dense,
-                SeedSchema::V1Std,
-            );
+            let (live, _) =
+                run_scenario_live_timeline(&params, &pop, 29, &timeline, &cfg, SeedSchema::V1Std);
             assert_outcomes_equal(&live, &seq, &format!("shaped, {workers} workers"));
         }
     }

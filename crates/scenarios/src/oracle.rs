@@ -24,19 +24,11 @@
 //! proves `sequential ≡ parallel(w)` value-for-value for
 //! `w ∈ {1, 2, 8}` on the honest schedule **and** on arbitrary faulty
 //! scenarios (where mailbox order matters).
-//!
-//! A third axis is the accumulator *storage backend*
-//! (`rtf_core::accumulator::AccumulatorKind`): dense `f64`, fixed-point
-//! `i64`, compressed sparse, SoA count lanes. All report sums are
-//! integer-valued, so every backend stores them exactly and
-//! [`assert_backend_agreement`] proves
-//! `dense ≡ fixed ≡ sparse ≡ soa` **exactly** (not within tolerance) on
-//! honest and faulty schedules at every worker count.
 
 use crate::config::Scenario;
 use crate::engine::{
     run_scenario, run_scenario_schema, run_scenario_schema_digest, run_scenario_with,
-    run_scenario_with_backend, ScenarioOutcome,
+    ScenarioOutcome,
 };
 use crate::live::{run_scenario_live_schema, run_scenario_live_with};
 use rtf_analysis::variance::{future_rand_scales, predicted_variance};
@@ -47,9 +39,7 @@ use rtf_primitives::fastseed::SeedSchema;
 use rtf_runtime::ingest::LiveConfig;
 use rtf_runtime::{ExecMode, WorkerPool};
 use rtf_sim::aggregate::run_future_rand_aggregate;
-use rtf_sim::engine::{
-    run_event_driven, run_event_driven_schema, run_event_driven_with, run_event_driven_with_backend,
-};
+use rtf_sim::engine::{run_event_driven, run_event_driven_schema, run_event_driven_with};
 use rtf_sim::live::{run_event_driven_live_schema, run_event_driven_live_with};
 use rtf_streams::population::Population;
 
@@ -166,7 +156,6 @@ pub fn assert_mode_agreement(
     seed: u64,
     scenario: &Scenario,
 ) {
-    let backend = AccumulatorKind::from_env();
     let schema = SeedSchema::from_env();
     let ev_seq = run_event_driven_with(params, population, seed, ExecMode::Sequential);
     let (sc_seq, digest_seq) = run_scenario_schema_digest(
@@ -175,7 +164,7 @@ pub fn assert_mode_agreement(
         seed,
         scenario,
         ExecMode::Sequential,
-        backend,
+        AccumulatorKind::Dense,
         schema,
     );
     for w in MODE_AGREEMENT_WORKERS {
@@ -193,7 +182,7 @@ pub fn assert_mode_agreement(
             seed,
             scenario,
             ExecMode::Parallel(w),
-            backend,
+            AccumulatorKind::Dense,
             schema,
         );
         assert_eq!(
@@ -240,8 +229,7 @@ pub fn assert_mode_agreement(
 ///
 /// Every configured fault is asserted to have actually fired (via
 /// `IngestStats::{recoveries, restarts}`), so none of these legs can
-/// pass vacuously. The storage backend comes from `RTF_BACKEND`, so the
-/// CI backend matrix replays this proof on every layout.
+/// pass vacuously.
 ///
 /// # Panics
 /// Panics naming the first diverging engine/worker count/fault
@@ -252,7 +240,6 @@ pub fn assert_live_agreement(
     seed: u64,
     scenario: &Scenario,
 ) {
-    let backend = AccumulatorKind::from_env();
     let ev_seq = run_event_driven_with(params, population, seed, ExecMode::Sequential);
     let sc_seq = run_scenario_with(params, population, seed, scenario, ExecMode::Sequential);
     // Complete the three-way claim: the batched pipeline sits between
@@ -301,8 +288,7 @@ pub fn assert_live_agreement(
             ),
         ];
         for (cfg, label, kills, restarts) in plans {
-            let (ev, ev_stats) =
-                run_event_driven_live_with(params, population, seed, &cfg, backend);
+            let (ev, ev_stats) = run_event_driven_live_with(params, population, seed, &cfg);
             assert_eq!(
                 ev.estimates, ev_seq.estimates,
                 "{label}: event-driven estimates diverge from sequential (seed {seed})"
@@ -310,8 +296,7 @@ pub fn assert_live_agreement(
             assert_eq!(ev.group_sizes, ev_seq.group_sizes, "{label}: groups");
             assert_eq!(ev.wire, ev_seq.wire, "{label}: wire stats");
 
-            let (sc, sc_stats) =
-                run_scenario_live_with(params, population, seed, scenario, &cfg, backend);
+            let (sc, sc_stats) = run_scenario_live_with(params, population, seed, scenario, &cfg);
             assert_eq!(
                 sc.estimates, sc_seq.estimates,
                 "{label}: scenario estimates diverge from sequential (seed {seed})"
@@ -340,8 +325,8 @@ pub fn assert_live_agreement(
 /// * the in-memory reference (`run_in_memory_schema`) and the sequential
 ///   event-driven engine agree estimate-for-estimate;
 /// * the honest event-driven engine and the fault-injected engine under
-///   `scenario` agree across sequential, every worker count in
-///   [`MODE_AGREEMENT_WORKERS`], and **all four** storage backends;
+///   `scenario` agree across sequential and every worker count in
+///   [`MODE_AGREEMENT_WORKERS`];
 /// * the live streaming drivers agree too, honest and under the
 ///   scenario, for every worker count — both with no faults and with a
 ///   mid-period whole-service restart *plus* a worker kill in the same
@@ -355,7 +340,7 @@ pub fn assert_live_agreement(
 /// stream against each other.
 ///
 /// # Panics
-/// Panics naming the first diverging path/backend/worker count.
+/// Panics naming the first diverging path/worker count.
 pub fn assert_schema_agreement(
     params: &ProtocolParams,
     population: &Population,
@@ -388,135 +373,66 @@ pub fn assert_schema_agreement(
         seed,
         scenario,
         ExecMode::Sequential,
-        AccumulatorKind::Dense,
         schema,
     );
 
     let fault_at = (params.d() / 2).max(1);
-    for backend in AccumulatorKind::ALL {
-        let modes = std::iter::once(ExecMode::Sequential)
-            .chain(MODE_AGREEMENT_WORKERS.into_iter().map(ExecMode::Parallel));
-        for mode in modes {
-            let ev = run_event_driven_schema(params, population, seed, mode, backend, schema);
-            assert_eq!(
-                ev.estimates, ev_seq.estimates,
-                "event-driven {backend}/{mode} diverges under {schema} (seed {seed})"
-            );
-            assert_eq!(ev.wire, ev_seq.wire, "{schema} {backend}/{mode} wire");
-            let sc = run_scenario_schema(params, population, seed, scenario, mode, backend, schema);
-            assert_eq!(
-                sc.estimates, sc_seq.estimates,
-                "scenario {backend}/{mode} diverges under {schema} (seed {seed})"
-            );
-            assert_eq!(sc.delivery, sc_seq.delivery, "{schema} {backend}/{mode}");
-            assert_eq!(sc.faults, sc_seq.faults, "{schema} {backend}/{mode}");
-            assert_eq!(
-                sc.byzantine_accepted_by_period, sc_seq.byzantine_accepted_by_period,
-                "{schema} {backend}/{mode} Byzantine acceptance"
-            );
-        }
-
-        for w in MODE_AGREEMENT_WORKERS {
-            let base = || LiveConfig::new(w).with_mailbox_cap(2).with_chunk_rows(7);
-            let victim = w.saturating_sub(1);
-            // (config, expected kills, expected restarts)
-            let plans = [
-                (base(), 0u64, 0u64),
-                (
-                    base().with_restart(fault_at).with_kill(victim, fault_at),
-                    1,
-                    1,
-                ),
-            ];
-            for (cfg, kills, restarts) in plans {
-                let label =
-                    format!("{schema} {backend} live({w}), {kills} kill(s), {restarts} restart(s)");
-                let (ev, ev_stats) =
-                    run_event_driven_live_schema(params, population, seed, &cfg, backend, schema);
-                assert_eq!(ev.estimates, ev_seq.estimates, "{label}: event-driven");
-                assert_eq!(ev.wire, ev_seq.wire, "{label}: wire");
-                let (sc, sc_stats) = run_scenario_live_schema(
-                    params, population, seed, scenario, &cfg, backend, schema,
-                );
-                assert_eq!(sc.estimates, sc_seq.estimates, "{label}: scenario");
-                assert_eq!(sc.delivery, sc_seq.delivery, "{label}: delivery");
-                assert_eq!(sc.faults, sc_seq.faults, "{label}: faults");
-                for stats in [&ev_stats, &sc_stats] {
-                    assert_eq!(stats.recoveries, kills, "{label}: kills fired");
-                    assert_eq!(stats.restarts, restarts, "{label}: restarts fired");
-                }
-            }
-        }
-    }
-}
-
-/// Asserts every accumulator storage backend (`dense`, `fixed`,
-/// `sparse`, `soa`) produces **identical** results — exact equality, not
-/// tolerance-based, since integer-valued sums are stored exactly by all
-/// four layouts — on:
-///
-/// * the honest event-driven engine (estimates, group sizes, wire
-///   stats), and
-/// * the fault-injected engine under `scenario` (estimates, delivery
-///   log, wire stats, fault counts, per-period Byzantine acceptance),
-///
-/// each in sequential mode **and** at every worker count in
-/// [`MODE_AGREEMENT_WORKERS`]. The reference is the dense sequential
-/// run — the storage layout the original protocol shipped with.
-///
-/// # Panics
-/// Panics naming the first diverging backend/mode/engine.
-pub fn assert_backend_agreement(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-) {
-    let ev_ref = run_event_driven_with_backend(
-        params,
-        population,
-        seed,
-        ExecMode::Sequential,
-        AccumulatorKind::Dense,
-    );
-    let sc_ref = run_scenario_with_backend(
-        params,
-        population,
-        seed,
-        scenario,
-        ExecMode::Sequential,
-        AccumulatorKind::Dense,
-    );
     let modes = std::iter::once(ExecMode::Sequential)
         .chain(MODE_AGREEMENT_WORKERS.into_iter().map(ExecMode::Parallel));
     for mode in modes {
-        for backend in AccumulatorKind::ALL {
-            if mode == ExecMode::Sequential && backend == AccumulatorKind::Dense {
-                continue; // that combination *is* the reference
-            }
-            let ev = run_event_driven_with_backend(params, population, seed, mode, backend);
-            assert_eq!(
-                ev.estimates, ev_ref.estimates,
-                "event-driven {backend}/{mode} diverges from dense sequential (seed {seed})"
-            );
-            assert_eq!(
-                ev.group_sizes, ev_ref.group_sizes,
-                "{backend}/{mode} groups"
-            );
-            assert_eq!(ev.wire, ev_ref.wire, "{backend}/{mode} wire stats");
+        let ev = run_event_driven_schema(
+            params,
+            population,
+            seed,
+            mode,
+            AccumulatorKind::Dense,
+            schema,
+        );
+        assert_eq!(
+            ev.estimates, ev_seq.estimates,
+            "event-driven {mode} diverges under {schema} (seed {seed})"
+        );
+        assert_eq!(ev.wire, ev_seq.wire, "{schema} {mode} wire");
+        let sc = run_scenario_schema(params, population, seed, scenario, mode, schema);
+        assert_eq!(
+            sc.estimates, sc_seq.estimates,
+            "scenario {mode} diverges under {schema} (seed {seed})"
+        );
+        assert_eq!(sc.delivery, sc_seq.delivery, "{schema} {mode}");
+        assert_eq!(sc.faults, sc_seq.faults, "{schema} {mode}");
+        assert_eq!(
+            sc.byzantine_accepted_by_period, sc_seq.byzantine_accepted_by_period,
+            "{schema} {mode} Byzantine acceptance"
+        );
+    }
 
-            let sc = run_scenario_with_backend(params, population, seed, scenario, mode, backend);
-            assert_eq!(
-                sc.estimates, sc_ref.estimates,
-                "scenario {backend}/{mode} diverges from dense sequential (seed {seed})"
-            );
-            assert_eq!(sc.delivery, sc_ref.delivery, "{backend}/{mode} delivery");
-            assert_eq!(sc.wire, sc_ref.wire, "{backend}/{mode} wire stats");
-            assert_eq!(sc.faults, sc_ref.faults, "{backend}/{mode} fault counts");
-            assert_eq!(
-                sc.byzantine_accepted_by_period, sc_ref.byzantine_accepted_by_period,
-                "{backend}/{mode} per-period Byzantine acceptance"
-            );
+    for w in MODE_AGREEMENT_WORKERS {
+        let base = || LiveConfig::new(w).with_mailbox_cap(2).with_chunk_rows(7);
+        let victim = w.saturating_sub(1);
+        // (config, expected kills, expected restarts)
+        let plans = [
+            (base(), 0u64, 0u64),
+            (
+                base().with_restart(fault_at).with_kill(victim, fault_at),
+                1,
+                1,
+            ),
+        ];
+        for (cfg, kills, restarts) in plans {
+            let label = format!("{schema} live({w}), {kills} kill(s), {restarts} restart(s)");
+            let (ev, ev_stats) =
+                run_event_driven_live_schema(params, population, seed, &cfg, schema);
+            assert_eq!(ev.estimates, ev_seq.estimates, "{label}: event-driven");
+            assert_eq!(ev.wire, ev_seq.wire, "{label}: wire");
+            let (sc, sc_stats) =
+                run_scenario_live_schema(params, population, seed, scenario, &cfg, schema);
+            assert_eq!(sc.estimates, sc_seq.estimates, "{label}: scenario");
+            assert_eq!(sc.delivery, sc_seq.delivery, "{label}: delivery");
+            assert_eq!(sc.faults, sc_seq.faults, "{label}: faults");
+            for stats in [&ev_stats, &sc_stats] {
+                assert_eq!(stats.recoveries, kills, "{label}: kills fired");
+                assert_eq!(stats.restarts, restarts, "{label}: restarts fired");
+            }
         }
     }
 }
@@ -770,22 +686,6 @@ mod tests {
                 "{w}"
             );
         }
-    }
-
-    #[test]
-    fn backend_agreement_holds_on_honest_and_faulty_schedules() {
-        // The storage-engine claim: dense ≡ fixed ≡ sparse ≡ soa exactly,
-        // sequential and at every proven worker count, with and without a
-        // fault storm whose Byzantine acceptance races are order-
-        // sensitive.
-        let (params, pop) = setup(120, 16, 2, 87);
-        assert_backend_agreement(&params, &pop, 41, &Scenario::honest());
-        let storm = Scenario::honest()
-            .with_dropout(0.05)
-            .with_stragglers(0.1, 3)
-            .with_duplicates(0.05)
-            .with_byzantine(0.1);
-        assert_backend_agreement(&params, &pop, 41, &storm);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! index)`. Two things must hold for it to be a sound drop-in:
 //!
 //! 1. **Determinism across execution paths** — sequential ≡
-//!    parallel{1,2,8} ≡ live (with kills and mid-period restarts), on
-//!    every storage backend, honest and under a fault storm:
+//!    parallel{1,2,8} ≡ live (with kills and mid-period restarts),
+//!    honest and under a fault storm:
 //!    [`assert_schema_agreement`] runs the whole matrix under an
 //!    explicit [`SeedSchema::V2Fast`], pinning the packed word-at-a-time
 //!    path against the scalar per-report path.

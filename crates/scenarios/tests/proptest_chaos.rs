@@ -6,12 +6,9 @@
 //! restarts) — driven through [`rtf_scenarios::assert_chaos_recovery`]:
 //! both live engines, worker counts {1, 2, 8}, every outcome field
 //! value-identical to the sequential reference, and every configured
-//! fault asserted to have actually fired. The storage backend is itself
-//! a random axis, so all four accumulator layouts take turns under
-//! fire.
+//! fault asserted to have actually fired.
 
 use proptest::prelude::*;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_scenarios::chaos::{assert_chaos_recovery, ChaosPlan};
@@ -36,15 +33,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// A single randomly placed fault of each kind — kill, mid-period
-    /// restart, between-periods restart — recovers exactly on a random
-    /// backend under a fault storm.
+    /// restart, between-periods restart — recovers exactly under a fault
+    /// storm.
     #[test]
     fn single_faults_recover_exactly(
         n in 40usize..120,
         d_exp in 3u32..5,            // d ∈ {8, 16}
         k in 1usize..3,
         seed in 0u64..10_000,
-        backend_idx in 0usize..4,
         victim in 0usize..8,
         frac in 0u64..100,
     ) {
@@ -52,7 +48,6 @@ proptest! {
         let params = ProtocolParams::new(n, d, k, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed ^ 0x0DDB_A115).rng();
         let population = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-        let backend = AccumulatorKind::ALL[backend_idx];
         let at = period_at(frac, d);
 
         for plan in [
@@ -61,7 +56,7 @@ proptest! {
             ChaosPlan::new().with_mid_restart(at),
             ChaosPlan::new().with_between_restart(at),
         ] {
-            assert_chaos_recovery(&params, &population, seed, &storm(), &plan, backend);
+            assert_chaos_recovery(&params, &population, seed, &storm(), &plan);
         }
     }
 
@@ -75,7 +70,6 @@ proptest! {
         d_exp in 3u32..5,
         k in 1usize..3,
         seed in 0u64..10_000,
-        backend_idx in 0usize..4,
         victim in 0usize..8,
         frac_a in 0u64..100,
         frac_b in 0u64..100,
@@ -84,7 +78,6 @@ proptest! {
         let params = ProtocolParams::new(n, d, k, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed ^ 0xCAFE_D00D).rng();
         let population = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-        let backend = AccumulatorKind::ALL[backend_idx];
         let a = period_at(frac_a, d);
         let b = period_at(frac_b, d);
 
@@ -101,7 +94,7 @@ proptest! {
                 .with_mid_restart(b)
                 .with_between_restart(a),
         ] {
-            assert_chaos_recovery(&params, &population, seed, &storm(), &plan, backend);
+            assert_chaos_recovery(&params, &population, seed, &storm(), &plan);
         }
     }
 }

@@ -8,7 +8,6 @@
 //! `{1, 2, 8}`, and a randomly placed worker kill.
 
 use proptest::prelude::*;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::ingest::LiveConfig;
@@ -61,7 +60,6 @@ proptest! {
                     &population,
                     seed,
                     &cfg,
-                    AccumulatorKind::Dense,
                 );
                 prop_assert_eq!(
                     &live.estimates, &seq.estimates,
@@ -114,7 +112,6 @@ proptest! {
                     seed,
                     &storm,
                     &cfg,
-                    AccumulatorKind::Dense,
                 );
                 prop_assert_eq!(&live.estimates, &seq.estimates,
                     "w={} cap={} chunk={} kill={}", workers, mailbox_cap, chunk_rows, kill);

@@ -31,7 +31,7 @@
 //! through the parallel pipeline by exporting one variable.
 
 use crate::message::{OrderAnnouncement, ReportMsg, WireStats};
-use rtf_core::accumulator::{Accumulator, AccumulatorKind, AnyAccumulator};
+use rtf_core::accumulator::{Accumulator, AccumulatorKind, DenseAccumulator};
 use rtf_core::client::Client;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
@@ -54,9 +54,8 @@ pub struct EventDrivenOutcome {
     /// Wire accounting (announcements + reports, bytes and bits).
     pub wire: WireStats,
     /// Heap bytes held by the run's accumulation state — in batched mode
-    /// the sum over every per-period shard accumulator (the quantity the
-    /// storage backends trade against time in `exp_backends`); in
-    /// sequential mode just the server's single live accumulator.
+    /// the sum over every per-period shard accumulator; in sequential
+    /// mode just the server's single live accumulator.
     pub acc_bytes: u64,
 }
 
@@ -78,58 +77,45 @@ pub fn run_event_driven(
 }
 
 /// Runs the FutureRand protocol through the message-level engine in an
-/// explicit [`ExecMode`], on the accumulator backend selected by
-/// `RTF_BACKEND` ([`AccumulatorKind::from_env`]; default dense).
+/// explicit [`ExecMode`]. Every mode is value-for-value identical
+/// (asserted by `rtf_scenarios::oracle`).
 pub fn run_event_driven_with(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     mode: ExecMode,
 ) -> EventDrivenOutcome {
-    run_event_driven_with_backend(params, population, seed, mode, AccumulatorKind::from_env())
-}
-
-/// Runs the FutureRand protocol through the message-level engine in an
-/// explicit [`ExecMode`] on an explicit accumulator backend. Every
-/// mode × backend combination is value-for-value identical (asserted by
-/// `rtf_scenarios::oracle::assert_backend_agreement`).
-pub fn run_event_driven_with_backend(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    mode: ExecMode,
-    backend: AccumulatorKind,
-) -> EventDrivenOutcome {
     run_event_driven_schema(
         params,
         population,
         seed,
         mode,
-        backend,
+        AccumulatorKind::Dense,
         SeedSchema::from_env(),
     )
 }
 
-/// [`run_event_driven_with_backend`] under an explicit client randomness
-/// schema (instead of `RTF_SEED_SCHEMA`). Under [`SeedSchema::V2Fast`]
-/// the batched pipeline emits whole span words straight from the
+/// [`run_event_driven_with`] under an explicit client randomness schema
+/// (instead of `RTF_SEED_SCHEMA`). Under [`SeedSchema::V2Fast`] the
+/// batched pipeline emits whole span words straight from the
 /// counter-based generator into the packed report lanes — no per-report
 /// `Sign` materialisation — and stays value-for-value identical to the
-/// sequential schedule run under the same schema.
+/// sequential schedule run under the same schema. The layout argument
+/// names the only layout, [`AccumulatorKind::Dense`].
 pub fn run_event_driven_schema(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     mode: ExecMode,
-    backend: AccumulatorKind,
+    _layout: AccumulatorKind,
     schema: SeedSchema,
 ) -> EventDrivenOutcome {
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
     match mode {
-        ExecMode::Sequential => run_sequential(params, population, seed, backend, schema),
-        ExecMode::Parallel(w) => run_batched(params, population, seed, w.max(1), backend, schema),
+        ExecMode::Sequential => run_sequential(params, population, seed, schema),
+        ExecMode::Parallel(w) => run_batched(params, population, seed, w.max(1), schema),
     }
 }
 
@@ -326,11 +312,10 @@ fn run_sequential(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> EventDrivenOutcome {
     let composed = composed_tables(params);
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::Dense, schema);
     let mut wire = WireStats::default();
     let root = SeedSequence::new(seed);
 
@@ -395,15 +380,14 @@ fn run_sequential(
 }
 
 /// One worker's whole-horizon contribution: a mergeable accumulator per
-/// period (on the selected storage backend), plus the shard's share of
-/// the registration/wire accounting.
+/// period, plus the shard's share of the registration/wire accounting.
 struct ShardRun {
     /// `per_period[t-1]` holds the shard's report sums for period `t`.
-    per_period: Vec<AnyAccumulator>,
+    per_period: Vec<DenseAccumulator>,
     group_sizes: Vec<usize>,
     wire: WireStats,
     /// Heap bytes of this shard's per-period accumulators after the
-    /// horizon completed — the backend memory footprint.
+    /// horizon completed.
     acc_bytes: u64,
 }
 
@@ -414,7 +398,6 @@ fn run_batched(
     population: &Population,
     seed: u64,
     workers: usize,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> EventDrivenOutcome {
     let composed = composed_tables(params);
@@ -432,8 +415,8 @@ fn run_batched(
             build_order_groups(params, population, &composed, &root, shard.range(), schema);
         let group_sizes: Vec<usize> = groups.iter().map(SpanGroup::len).collect();
 
-        let mut per_period: Vec<AnyAccumulator> =
-            (0..d).map(|_| backend.new_accumulator(orders)).collect();
+        let mut per_period: Vec<DenseAccumulator> =
+            (0..d).map(|_| DenseAccumulator::new(orders)).collect();
         for t in 1..=d {
             let acc = &mut per_period[(t - 1) as usize];
             let max_h = t.trailing_zeros().min(params.log_d());
@@ -452,7 +435,7 @@ fn run_batched(
                 // batch to materialise and re-scan: the per-order totals
                 // are exactly what `ReportBatch::fold_into` would hand
                 // over (one `record_counts` per order, ascending), and
-                // all backends are exact, so the sums are identical.
+                // the sums are exact, so they are identical.
                 group.emit_span(t);
                 let len = group.len() as u64;
                 let plus = group.signs.count_plus(0..group.len());
@@ -473,7 +456,7 @@ fn run_batched(
 
     // Deterministic merge: shard-index order, exactly the order
     // `map_shards` returned.
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::Dense, schema);
     let mut wire = WireStats::default();
     let mut acc_bytes = 0u64;
     for shard in &shards {
@@ -490,7 +473,7 @@ fn run_batched(
         for shard in &shards {
             server
                 .absorb_shard(&shard.per_period[(t - 1) as usize])
-                .expect("shard accumulators share the server's backend and shape");
+                .expect("shard accumulators share the server's shape");
         }
         estimates.push(server.end_of_period(t));
     }
@@ -586,57 +569,6 @@ mod tests {
         assert_eq!(v1.group_sizes, seq.group_sizes);
         assert_eq!(v1.wire, seq.wire);
         assert_ne!(v1.estimates, seq.estimates, "schemas are distinct streams");
-    }
-
-    #[test]
-    fn backends_agree_on_the_event_driven_engine() {
-        // The storage-engine claim at unit scale: every backend × mode
-        // combination reproduces the dense sequential estimates exactly.
-        let (params, pop) = setup(150, 32, 3, 45);
-        let baseline = run_event_driven_with_backend(
-            &params,
-            &pop,
-            33,
-            ExecMode::Sequential,
-            AccumulatorKind::Dense,
-        );
-        for kind in AccumulatorKind::ALL {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
-                let out = run_event_driven_with_backend(&params, &pop, 33, mode, kind);
-                assert_eq!(out.estimates, baseline.estimates, "{kind} {mode}");
-                assert_eq!(out.group_sizes, baseline.group_sizes, "{kind} {mode}");
-                assert_eq!(out.wire, baseline.wire, "{kind} {mode}");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_backend_is_smaller_at_large_log_d() {
-        // The memory story behind the sparse backend: per-period shard
-        // accumulators touch ~2 orders on average, while dense always
-        // carries 1 + log d lanes.
-        let (params, pop) = setup(60, 64, 3, 46);
-        let dense = run_event_driven_with_backend(
-            &params,
-            &pop,
-            9,
-            ExecMode::Parallel(1),
-            AccumulatorKind::Dense,
-        );
-        let sparse = run_event_driven_with_backend(
-            &params,
-            &pop,
-            9,
-            ExecMode::Parallel(1),
-            AccumulatorKind::Sparse,
-        );
-        assert_eq!(sparse.estimates, dense.estimates);
-        assert!(
-            sparse.acc_bytes < dense.acc_bytes,
-            "sparse {} bytes vs dense {} bytes",
-            sparse.acc_bytes,
-            dense.acc_bytes
-        );
     }
 
     #[test]

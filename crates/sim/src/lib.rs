@@ -40,13 +40,10 @@ pub mod live;
 pub mod message;
 pub mod runner;
 
-pub use aggregate::{
-    run_calibrated_aggregate, run_future_rand_aggregate, run_future_rand_aggregate_with_backend,
-};
+pub use aggregate::{run_calibrated_aggregate, run_future_rand_aggregate};
 pub use engine::{
-    build_order_groups, run_event_driven, run_event_driven_with, run_event_driven_with_backend,
-    EventDrivenOutcome, SpanGroup,
+    build_order_groups, run_event_driven, run_event_driven_with, EventDrivenOutcome, SpanGroup,
 };
 pub use live::{run_event_driven_live, run_event_driven_live_with};
 pub use message::{OrderAnnouncement, ReportMsg, WireStats};
-pub use runner::{run_future_rand, run_trials, run_trials_with, TrialPlan, TrialResults};
+pub use runner::{run_future_rand, run_trials, TrialPlan, TrialResults};

@@ -2,26 +2,16 @@
 //!
 //! Experiments repeat a protocol execution over many trials (fresh
 //! population and fresh protocol randomness per trial) and summarise a
-//! per-trial metric. Trials are independent, so they fan out over the
-//! process-wide **persistent** worker pool
-//! (`rtf_runtime::persistent::shared_pool`): the worker threads are
-//! spawned once and reused across every `run_trials` execution, so
-//! experiments sweeping many small plans never pay the per-call thread
-//! spawn cost (the spawn-cost delta is recorded by `exp_throughput`).
-//! The injector channel load-balances while results return in trial
-//! order; determinism is preserved because trial `i` always uses seeds
-//! derived from `master_seed → child(i)`, regardless of which worker
-//! runs it.
-//!
-//! Each plan also carries the accumulator storage backend
-//! ([`AccumulatorKind`], default from `RTF_BACKEND`), which
-//! [`run_trials_with`] hands to backend-aware execute callbacks.
+//! per-trial metric. Trials are independent, so they fan out over a
+//! [`WorkerPool`]: its queue load-balances while results return in trial
+//! order, and determinism is preserved because trial `i` always uses
+//! seeds derived from `master_seed → child(i)`, regardless of which
+//! worker runs it.
 
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::ProtocolOutcome;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_runtime::shared_pool;
+use rtf_runtime::WorkerPool;
 use rtf_streams::generator::StreamGenerator;
 use rtf_streams::population::Population;
 
@@ -47,24 +37,16 @@ pub struct TrialPlan {
     pub master_seed: u64,
     /// Number of worker threads (0 ⇒ available parallelism).
     pub threads: usize,
-    /// The accumulator storage backend handed to backend-aware execute
-    /// callbacks by [`run_trials_with`]. Plain [`run_trials`] executes
-    /// take no backend parameter and therefore cannot receive it — they
-    /// fall back to whatever their own entry point selects (usually
-    /// `RTF_BACKEND` via [`AccumulatorKind::from_env`]).
-    pub backend: AccumulatorKind,
 }
 
 impl TrialPlan {
-    /// A plan with sensible defaults (`threads = 0` ⇒ auto; backend from
-    /// `RTF_BACKEND`).
+    /// A plan with sensible defaults (`threads = 0` ⇒ auto).
     pub fn new(params: ProtocolParams, trials: usize, master_seed: u64) -> Self {
         TrialPlan {
             params,
             trials,
             master_seed,
             threads: 0,
-            backend: AccumulatorKind::from_env(),
         }
     }
 
@@ -137,9 +119,8 @@ impl TrialResults {
     }
 }
 
-/// Runs `plan.trials` independent trials in parallel over the
-/// process-wide persistent pool (threads are reused across `run_trials`
-/// executions, never re-spawned per call).
+/// Runs `plan.trials` independent trials in parallel over a
+/// [`WorkerPool`] of the plan's thread count.
 ///
 /// Per trial `i`:
 /// 1. a fresh population is generated from `generator` with the seed
@@ -155,43 +136,15 @@ where
     E: Fn(&ProtocolParams, &Population, u64) -> ProtocolOutcome + Sync,
     M: Fn(&ProtocolOutcome, &Population) -> f64 + Sync,
 {
-    run_trials_with(
-        plan,
-        generator,
-        |params, population, seed, _backend| execute(params, population, seed),
-        metric,
-    )
-}
-
-/// [`run_trials`] with a backend-aware execute callback: the plan's
-/// [`AccumulatorKind`] is handed to `execute` so backend sweeps (e.g.
-/// `exp_backends`) can run every trial on an explicit storage engine
-/// rather than whatever `RTF_BACKEND` says.
-pub fn run_trials_with<G, E, M>(
-    plan: &TrialPlan,
-    generator: &G,
-    execute: E,
-    metric: M,
-) -> TrialResults
-where
-    G: StreamGenerator + Sync,
-    E: Fn(&ProtocolParams, &Population, u64, AccumulatorKind) -> ProtocolOutcome + Sync,
-    M: Fn(&ProtocolOutcome, &Population) -> f64 + Sync,
-{
     assert!(plan.trials >= 1, "need at least one trial");
     let root = SeedSequence::new(plan.master_seed);
-    let pool = shared_pool(plan.effective_threads());
+    let pool = WorkerPool::new(plan.effective_threads());
 
     let values = pool.map_indexed(plan.trials, |i| {
         let trial_seed = root.child(i as u64);
         let mut pop_rng = trial_seed.child(0).rng();
         let population = Population::generate(generator, plan.params.n(), &mut pop_rng);
-        let outcome = execute(
-            &plan.params,
-            &population,
-            trial_seed.child(1).seed(),
-            plan.backend,
-        );
+        let outcome = execute(&plan.params, &population, trial_seed.child(1).seed());
         metric(&outcome, &population)
     });
     TrialResults { values }
@@ -221,29 +174,6 @@ mod tests {
         plan.threads = 1;
         let b = run_trials(&plan, &gen, run_future_rand, linf);
         assert_eq!(a.values(), b.values(), "thread count must not matter");
-    }
-
-    #[test]
-    fn backend_sweep_produces_identical_metrics() {
-        // run_trials_with hands the plan's backend to the execute
-        // callback; integer-exact storage means every backend yields the
-        // identical per-trial metric values.
-        let params = ProtocolParams::new(250, 16, 2, 1.0, 0.05).unwrap();
-        let gen = UniformChanges::new(16, 2, 0.7);
-        let execute = |p: &ProtocolParams,
-                       pop: &Population,
-                       seed: u64,
-                       backend: rtf_core::accumulator::AccumulatorKind| {
-            crate::aggregate::run_future_rand_aggregate_with_backend(p, pop, seed, backend)
-        };
-        let mut plan = TrialPlan::new(params, 6, 99);
-        plan.backend = rtf_core::accumulator::AccumulatorKind::Dense;
-        let reference = run_trials_with(&plan, &gen, execute, linf);
-        for backend in rtf_core::accumulator::AccumulatorKind::ALL {
-            plan.backend = backend;
-            let r = run_trials_with(&plan, &gen, execute, linf);
-            assert_eq!(r.values(), reference.values(), "{backend}");
-        }
     }
 
     #[test]

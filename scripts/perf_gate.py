@@ -19,7 +19,8 @@ gate splits fields by nature:
   ~inf), so the ratio is skipped instead of spuriously failing as SLOW.
 
 Rows are matched by identity key (throughput: engine/n/d/mode/workers;
-backends: backend/n/d). Baseline rows without a fresh counterpart are
+backends: backend/n/d, where backend names the accumulator layout and is
+always "dense"). Baseline rows without a fresh counterpart are
 reported as "not measured" and ignored (the smoke grid is a subset of
 the full grid); fresh rows without a baseline are reported as NEW and
 pass (adding coverage is not a regression) — but at least one row must
@@ -66,6 +67,8 @@ KINDS = {
         },
     },
     "backends": {
+        # One layout is left, so the "backend" field is always "dense";
+        # it stays in the key so older baselines keep matching.
         "key": ("backend", "n", "d"),
         "key_defaults": {},
         "exact": ("reports", "acc_bytes"),

@@ -81,7 +81,6 @@ pub use rtf_streams as streams;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use rtf_analysis::metrics::linf_error;
-    pub use rtf_core::accumulator::AccumulatorKind;
     pub use rtf_core::params::ProtocolParams;
     pub use rtf_core::randomizer::FutureRand;
     pub use rtf_primitives::seeding::SeedSequence;

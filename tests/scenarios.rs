@@ -12,8 +12,8 @@
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::scenarios::oracle::{
-    assert_backend_agreement, assert_exact_agreement, assert_live_agreement, assert_mode_agreement,
-    assert_within_band, faulty_envelope, tolerance_band, MODE_AGREEMENT_WORKERS,
+    assert_exact_agreement, assert_live_agreement, assert_mode_agreement, assert_within_band,
+    faulty_envelope, tolerance_band, MODE_AGREEMENT_WORKERS,
 };
 use randomize_future::scenarios::{run_scenario, Scenario};
 use randomize_future::streams::generator::UniformChanges;
@@ -74,24 +74,6 @@ fn streaming_equals_batched_equals_sequential() {
         .with_duplicates(0.05)
         .with_byzantine(0.1);
     assert_live_agreement(&params, &pop, 401, &storm);
-}
-
-/// The storage-engine guarantee, end to end: dense ≡ fixed-point ≡
-/// sparse ≡ SoA produce *identical* frequency estimates (exact
-/// equality — integer-valued sums are stored exactly by all four
-/// layouts) on the honest schedule and on a full fault storm, in
-/// sequential mode and at every proven worker count.
-#[test]
-fn all_accumulator_backends_agree_value_for_value() {
-    let (params, pop) = setup(300, 32, 3, 12);
-    assert_backend_agreement(&params, &pop, 301, &Scenario::honest());
-    let storm = Scenario::honest()
-        .with_dropout(0.05)
-        .with_churn(0.005)
-        .with_stragglers(0.1, 3)
-        .with_duplicates(0.05)
-        .with_byzantine(0.1);
-    assert_backend_agreement(&params, &pop, 301, &storm);
 }
 
 #[test]

@@ -3,9 +3,8 @@
 //! Every `workloads/*.toml` file must parse, compile (which includes
 //! naming a registered, non-vacuous expectation), roundtrip through the
 //! emitter, match its file stem, and — the expensive part — run
-//! value-identically through sequential ≡ batched ≡ live on all four
-//! accumulator backends with its expectation actually firing, under
-//! both seed schemas.
+//! value-identically through sequential ≡ batched ≡ live with its
+//! expectation actually firing, under both seed schemas.
 
 use randomize_future::primitives::fastseed::SeedSchema;
 use randomize_future::scenarios::dsl::{
