@@ -169,10 +169,23 @@ impl ComposedRandomizer {
     /// `b̃ = R̃(1^k)` — the pre-computation of `M.init` (Algorithm 3,
     /// line 10), via the weight-class path.
     pub fn sample_for_all_ones<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Sign> {
-        let w = self.sample_output_distance(rng);
         let mut out = vec![Sign::Plus; self.k];
-        flip_random_subset(&mut out, w, rng);
+        self.sample_for_all_ones_into(&mut out, rng);
         out
+    }
+
+    /// [`sample_for_all_ones`](Self::sample_for_all_ones) written into
+    /// `out` (overwriting it) instead of a fresh vector: the same draws,
+    /// the same `b̃`, and no heap allocation for the protocol's
+    /// sparsities (see [`rtf_primitives::subset`]).
+    ///
+    /// # Panics
+    /// Panics unless `out` holds exactly `k` entries.
+    pub fn sample_for_all_ones_into<R: Rng + ?Sized>(&self, out: &mut [Sign], rng: &mut R) {
+        assert_eq!(out.len(), self.k, "b̃ must hold k = {} entries", self.k);
+        let w = self.sample_output_distance(rng);
+        out.fill(Sign::Plus);
+        flip_random_subset(out, w, rng);
     }
 }
 

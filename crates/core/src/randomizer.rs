@@ -235,7 +235,7 @@ impl LocalRandomizer for FutureRand {
 /// zero partial sum, `b̃[nnz]` for non-zeros), so existing seeds
 /// reproduce — the `span_lanes_match_per_report_draws` tests and the
 /// `proptest_randomizer` suite pin it down bit-for-bit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRandomizers {
     l: usize,
     k: usize,
@@ -283,10 +283,46 @@ impl SpanRandomizers {
         }
     }
 
+    /// Reserves room for `lanes` more lanes in every per-lane column, so
+    /// a caller that knows its group size pushes them without
+    /// reallocating.
+    pub fn reserve(&mut self, lanes: usize) {
+        self.nnz.reserve_exact(lanes);
+        self.b_tilde.reserve_exact(lanes * self.k);
+        self.keys.reserve_exact(lanes);
+    }
+
+    /// Initialises a new client straight into the group as a lane:
+    /// draws its `b̃ = R̃(1^k)` from `rng` in place at the end of the
+    /// arena and records its fast key (ignored under v1). Equivalent —
+    /// same arena, same keys, same draws from `rng` — to
+    /// [`push_lane`](Self::push_lane) of
+    /// `FutureRand::init_with_schema(l, composed, rng, schema, fast_key)`,
+    /// without the temporary's `b̃` vector.
+    ///
+    /// # Panics
+    /// Panics if `composed` does not have the group's sparsity `k`.
+    pub fn push_fresh_lane<R: Rng + ?Sized>(
+        &mut self,
+        composed: &ComposedRandomizer,
+        rng: &mut R,
+        fast_key: u64,
+    ) {
+        assert_eq!(composed.k(), self.k, "lane sparsity mismatch");
+        let start = self.b_tilde.len();
+        self.b_tilde.resize(start + self.k, Sign::Plus);
+        composed.sample_for_all_ones_into(&mut self.b_tilde[start..], rng);
+        self.nnz.push(0);
+        self.keys.push(fast_key);
+        self.cached_block = None;
+    }
+
     /// Adopts one client's freshly initialised [`FutureRand`] as a lane,
     /// copying its `b̃` into the arena and its fast key into the key
     /// table. The randomizer must be unused (position 0), shaped like
-    /// the group, and initialised under the group's schema.
+    /// the group, and initialised under the group's schema. A caller
+    /// that constructs the client only to adopt it should call
+    /// [`push_fresh_lane`](Self::push_fresh_lane) instead.
     ///
     /// # Panics
     /// Panics on a length/sparsity/schema mismatch or a non-fresh

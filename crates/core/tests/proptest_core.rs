@@ -283,4 +283,43 @@ proptest! {
             );
         }
     }
+
+    /// `push_fresh_lane` is `FutureRand::init_with_schema` + `push_lane`
+    /// without the temporary: the same `b̃` arena, the same keys, and the
+    /// same post-draw RNG state, under both seed schemas and on both
+    /// sides of the subset sampler's stack/`HashSet` boundary.
+    #[test]
+    fn push_fresh_lane_matches_init_then_push_lane(
+        lanes in 1usize..6,
+        k_index in 0usize..4,
+        eps in 0.05f64..=1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::RngCore;
+        use rtf_core::randomizer::SpanRandomizers;
+        use rtf_primitives::fastseed::SeedSchema;
+
+        let k = [1usize, 4, 33, 300][k_index];
+        let l = 7;
+        let composed = ComposedRandomizer::for_protocol(k, eps);
+        for schema in [SeedSchema::V1Std, SeedSchema::V2Fast] {
+            let mut adopted = SpanRandomizers::new_with_schema(l, &composed, schema);
+            let mut fresh = SpanRandomizers::new_with_schema(l, &composed, schema);
+            fresh.reserve(lanes);
+            for i in 0..lanes {
+                let lane_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let fast_key = lane_seed.rotate_left(17) ^ 0xA5A5;
+                let mut rng_a = StdRng::seed_from_u64(lane_seed);
+                let m = FutureRand::init_with_schema(l, &composed, &mut rng_a, schema, fast_key);
+                adopted.push_lane(&m);
+                let mut rng_b = StdRng::seed_from_u64(lane_seed);
+                fresh.push_fresh_lane(&composed, &mut rng_b, fast_key);
+                prop_assert_eq!(
+                    rng_a.next_u64(), rng_b.next_u64(),
+                    "lane {} RNG diverged under {:?}", i, schema
+                );
+            }
+            prop_assert_eq!(&fresh, &adopted);
+        }
+    }
 }

@@ -6,9 +6,33 @@
 //! [`sample_subset`] implements Floyd's algorithm: `O(w)` expected time and
 //! memory, independent of `k`, which matters because `k` may be large while
 //! the annulus keeps `w` near `k·p`.
+//!
+//! **Cost.** For `w ≤ 32` — every per-user `b̃` draw at the protocol's
+//! sparsities and every `UniformChanges` stream — Floyd runs over a stack
+//! buffer with a linear-scan membership test: [`flip_random_subset`]
+//! touches no heap at all and [`sample_subset`] allocates only its sorted
+//! output. Larger `w` falls back to a `HashSet`. Both paths make the same
+//! `random_range(0..=j)` draws and choose the same set, so the choice of
+//! path never changes an RNG stream.
 
 use rand::Rng;
 use std::collections::HashSet;
+
+/// Largest subset size Floyd's algorithm runs on the stack.
+const STACK_FLOYD_MAX: usize = 32;
+
+/// Floyd's algorithm for `w ≤ STACK_FLOYD_MAX` and `w ≤ n`: the chosen
+/// indices, in draw order, in the first `w` slots of the buffer.
+fn floyd_on_stack<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> [usize; STACK_FLOYD_MAX] {
+    debug_assert!(w <= STACK_FLOYD_MAX && w <= n);
+    let mut chosen = [0usize; STACK_FLOYD_MAX];
+    for (len, j) in ((n - w)..n).enumerate() {
+        let t = rng.random_range(0..=j);
+        // Every earlier pick is < j, so j itself is always free.
+        chosen[len] = if chosen[..len].contains(&t) { j } else { t };
+    }
+    chosen
+}
 
 /// Draws a uniformly random `w`-element subset of `{0, …, n−1}`.
 ///
@@ -26,26 +50,47 @@ pub fn sample_subset<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> Vec<us
     if w == n {
         return (0..n).collect();
     }
-    // Floyd's algorithm: for j = n−w .. n−1, insert a uniform t ∈ {0..j};
-    // on collision insert j itself. Produces uniform w-subsets.
-    let mut chosen: HashSet<usize> = HashSet::with_capacity(w * 2);
-    for j in (n - w)..n {
-        let t = rng.random_range(0..=j);
-        if !chosen.insert(t) {
-            chosen.insert(j);
+    let mut out = if w <= STACK_FLOYD_MAX {
+        floyd_on_stack(n, w, rng)[..w].to_vec()
+    } else {
+        // Floyd's algorithm: for j = n−w .. n−1, insert a uniform t ∈ {0..j};
+        // on collision insert j itself. Produces uniform w-subsets.
+        let mut chosen: HashSet<usize> = HashSet::with_capacity(w * 2);
+        for j in (n - w)..n {
+            let t = rng.random_range(0..=j);
+            if !chosen.insert(t) {
+                chosen.insert(j);
+            }
         }
-    }
-    let mut out: Vec<usize> = chosen.into_iter().collect();
+        chosen.into_iter().collect()
+    };
     out.sort_unstable();
     out
 }
 
 /// Flips the signs of `base` at a uniformly random `w`-subset of positions,
 /// in place. This realises "a uniform string at Hamming distance exactly `w`
-/// from `base`".
+/// from `base`". Flips the same positions, with the same draws, as
+/// flipping every index [`sample_subset`] returns — without allocating
+/// unless `w > 32`.
+///
+/// # Panics
+/// Panics if `w > base.len()`.
 pub fn flip_random_subset<R: Rng + ?Sized>(base: &mut [crate::sign::Sign], w: usize, rng: &mut R) {
-    for i in sample_subset(base.len(), w, rng) {
-        base[i] = base[i].flipped();
+    let n = base.len();
+    assert!(w <= n, "cannot sample {w} elements from a set of {n}");
+    let flip = |s: &mut crate::sign::Sign| *s = s.flipped();
+    if w == n {
+        // Like `sample_subset`, the whole set draws nothing.
+        base.iter_mut().for_each(flip);
+    } else if w <= STACK_FLOYD_MAX {
+        for &i in &floyd_on_stack(n, w, rng)[..w] {
+            flip(&mut base[i]);
+        }
+    } else {
+        for i in sample_subset(n, w, rng) {
+            flip(&mut base[i]);
+        }
     }
 }
 

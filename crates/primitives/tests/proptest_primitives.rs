@@ -2,11 +2,29 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rtf_primitives::logspace::{ln_binomial, ln_factorial, log_add_exp, log_sum_exp, LogSumExp};
 use rtf_primitives::seeding::{splitmix64, SeedSequence};
 use rtf_primitives::sign::{Sign, Ternary};
-use rtf_primitives::subset::sample_subset;
+use rtf_primitives::subset::{flip_random_subset, sample_subset};
+use std::collections::{BTreeSet, HashSet};
+
+/// The textbook `HashSet` Floyd the stack path must reproduce draw for
+/// draw: for j = n−w .. n−1 insert a uniform t ∈ {0..j}, or j itself on
+/// collision; `w == n` draws nothing.
+fn floyd_reference(n: usize, w: usize, rng: &mut StdRng) -> BTreeSet<usize> {
+    if w == n {
+        return (0..n).collect();
+    }
+    let mut chosen = HashSet::new();
+    for j in (n - w)..n {
+        let t = rng.random_range(0..=j);
+        if !chosen.insert(t) {
+            chosen.insert(j);
+        }
+    }
+    chosen.into_iter().collect()
+}
 
 proptest! {
     /// ln n! is strictly increasing and super-additive-ish:
@@ -69,6 +87,29 @@ proptest! {
         prop_assert_eq!(s.len(), w);
         prop_assert!(s.iter().all(|&i| i < n));
         prop_assert!(s.windows(2).all(|p| p[0] < p[1]));
+    }
+
+    /// Both Floyd entry points choose exactly the reference `HashSet`
+    /// Floyd's set and leave the RNG in the same state, on both sides of
+    /// the 32-element stack-buffer boundary.
+    #[test]
+    fn floyd_matches_hashset_reference(n in 1usize..=200, w_raw in 0usize..=40, seed in 0u64..1_000) {
+        let w = w_raw.min(n);
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        let reference = floyd_reference(n, w, &mut reference_rng);
+        let reference_next = reference_rng.next_u64();
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sampled: BTreeSet<usize> = sample_subset(n, w, &mut rng).into_iter().collect();
+        prop_assert_eq!(&sampled, &reference);
+        prop_assert_eq!(rng.next_u64(), reference_next);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut signs = vec![Sign::Plus; n];
+        flip_random_subset(&mut signs, w, &mut rng);
+        let flipped: BTreeSet<usize> = (0..n).filter(|&i| signs[i] == Sign::Minus).collect();
+        prop_assert_eq!(&flipped, &reference);
+        prop_assert_eq!(rng.next_u64(), reference_next);
     }
 
     /// Sign arithmetic is a group action consistent with i8 arithmetic.

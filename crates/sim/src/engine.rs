@@ -128,9 +128,9 @@ pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer
 }
 
 /// One order group's client state in the batched/streaming pipelines,
-/// struct-of-arrays: parallel lanes of user ids, RNG streams, a
-/// precomputed span-event schedule, and one shared [`SpanRandomizers`]
-/// arena.
+/// struct-of-arrays: parallel lanes of user ids, RNG streams (v1 schema
+/// only), a precomputed span-event schedule, and one shared
+/// [`SpanRandomizers`] arena.
 ///
 /// The former layout held a `GroupedSlot {client, rng, cursor}` struct
 /// per user — ~150 scattered bytes plus a per-user heap `b̃` vector, a
@@ -151,6 +151,10 @@ pub struct SpanGroup {
     /// valid after [`emit_span`](Self::emit_span), consumed via
     /// `ReportBatch::extend_packed` or masked span folds.
     pub signs: SignLane,
+    /// Each lane's RNG stream, positioned just past its `b̃` draws — the
+    /// source of the v1 schema's zero-report signs. Empty under
+    /// [`SeedSchema::V2Fast`], whose zero reports come from the counter
+    /// generator and never read an RNG.
     rngs: Vec<rand::rngs::StdRng>,
     /// The group's non-zero span sums, precomputed at build: entry
     /// `span_events[t / stride − 1]` lists `(lane, ±1)` for exactly the
@@ -184,14 +188,16 @@ impl SpanGroup {
     /// into [`signs`](Self::signs): pass 1 rebuilds the per-lane partial
     /// sums (a zero-fill plus the precomputed non-zero patches for this
     /// span), pass 2 draws every lane's report bit through the shared
-    /// randomizer arena. Lane `i`'s draw consumes `rngs[i]` exactly as
-    /// `Client::observe_span` would — the bit streams are identical
-    /// (pinned by `span_group_matches_per_slot_clients`).
+    /// randomizer arena. Under v1, lane `i`'s draw consumes `rngs[i]`
+    /// exactly as `Client::observe_span` would — the bit streams are
+    /// identical (pinned by `span_group_matches_per_slot_clients`);
+    /// under v2 no RNG is read.
     ///
     /// # Panics
     /// Debug-asserts that `t` is the group's next span boundary — a
     /// non-empty group must emit at **every** boundary, in order, or the
-    /// shared randomizer arena falls out of lockstep with the clients.
+    /// shared randomizer arena falls out of lockstep with the clients —
+    /// and, under v1, that the RNG column holds one stream per lane.
     pub fn emit_span(&mut self, t: u64) {
         debug_assert_eq!(
             t,
@@ -218,6 +224,7 @@ impl SpanGroup {
             // RNG draws.
             spans.fill_span_words(sums, |bits, count| signs.push_bits(bits, count));
         } else {
+            debug_assert_eq!(rngs.len(), sums.len(), "one v1 RNG stream per lane");
             spans.fill_span(sums, rngs, |s| signs.push(s));
         }
     }
@@ -233,6 +240,15 @@ impl SpanGroup {
 /// scenario engine (`rtf_scenarios::engine`) — they must consume
 /// per-user RNG identically for the batched ≡ streaming ≡ sequential
 /// proofs to hold, so the construction lives in exactly one place.
+///
+/// Construction is allocation-free per user: a first pass over the
+/// users' order draws sizes every group's columns exactly, then each
+/// client's `b̃` is drawn in place into its group's arena
+/// ([`SpanRandomizers::push_fresh_lane`]) — the same draws, in the same
+/// order, as `FutureRand::init_with_schema`, so every output matches the
+/// sequential reference bit for bit. Under [`SeedSchema::V2Fast`] the
+/// per-lane RNG is dropped once `b̃` is drawn; only the span-event
+/// schedule still grows per change.
 pub fn build_order_groups(
     params: &ProtocolParams,
     population: &Population,
@@ -243,37 +259,51 @@ pub fn build_order_groups(
 ) -> Vec<SpanGroup> {
     let orders = params.num_orders() as usize;
     let d = params.d();
-    let mut groups: Vec<SpanGroup> = (0..orders)
-        .map(|h| SpanGroup {
-            users: Vec::new(),
-            signs: SignLane::new(),
-            rngs: Vec::new(),
-            span_events: vec![Vec::new(); params.sequence_len(h as u32)],
-            spans: SpanRandomizers::new_with_schema(
+    // Pass 1: the order draw alone (the first draw of each user's
+    // stream) sizes every group, so each column is allocated once.
+    let mut sizes = vec![0usize; orders];
+    for u in users.clone() {
+        let mut rng = root.child(u as u64).rng();
+        sizes[Client::<FutureRand>::sample_order(params, &mut rng) as usize] += 1;
+    }
+    let mut groups: Vec<SpanGroup> = sizes
+        .iter()
+        .enumerate()
+        .map(|(h, &size)| {
+            let mut spans = SpanRandomizers::new_with_schema(
                 params.sequence_len(h as u32),
                 &composed[h],
                 schema,
-            ),
-            sums: Vec::new(),
-            stride: 1u64 << h,
+            );
+            spans.reserve(size);
+            SpanGroup {
+                users: Vec::with_capacity(size),
+                signs: SignLane::new(),
+                // The fast schema's zero reports never touch an RNG.
+                rngs: Vec::with_capacity(if schema.is_fast() { 0 } else { size }),
+                span_events: vec![Vec::new(); params.sequence_len(h as u32)],
+                spans,
+                sums: Vec::new(),
+                stride: 1u64 << h,
+            }
         })
         .collect();
+    // Pass 2: replay each stream from the top — the order draw again,
+    // then `b̃` drawn in place into the group's arena, exactly the draws
+    // `FutureRand::init_with_schema` makes.
     for u in users {
         let node = root.child(u as u64);
         let mut rng = node.rng();
         let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        let m = FutureRand::init_with_schema(
-            params.sequence_len(h),
-            &composed[h as usize],
-            &mut rng,
-            schema,
-            fastseed::client_key(&node),
-        );
         let group = &mut groups[h as usize];
         let lane = group.users.len() as u32;
         group.users.push(u as u32);
-        group.spans.push_lane(&m);
-        group.rngs.push(rng);
+        group
+            .spans
+            .push_fresh_lane(&composed[h as usize], &mut rng, fastseed::client_key(&node));
+        if !schema.is_fast() {
+            group.rngs.push(rng);
+        }
         // One pass over the user's (sorted) change times builds the
         // lane's non-zero span sums: a span's sum is the parity flip of
         // the change count across it (`st(end) − st(start − 1)`, each
@@ -599,6 +629,57 @@ mod tests {
         let rate = ev.wire.bits_per_user_period(400, 64);
         assert!(rate < 1.0, "rate {rate}");
         assert!(rate > 0.1, "rate {rate} suspiciously low");
+    }
+
+    /// FNV-1a digest of a run's estimates (as raw `f64` bits) followed
+    /// by its per-order group sizes.
+    fn outcome_digest(ev: &EventDrivenOutcome) -> u64 {
+        let mut bytes = Vec::new();
+        for e in &ev.estimates {
+            bytes.extend_from_slice(&e.to_bits().to_le_bytes());
+        }
+        for &g in &ev.group_sizes {
+            bytes.extend_from_slice(&(g as u64).to_le_bytes());
+        }
+        rtf_core::snapshot::fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn client_randomness_is_pinned_by_golden_digests() {
+        // Pins every draw the client side makes — population change
+        // times, order samples, the `b̃` pre-computation (Floyd subset
+        // draws included) and the zero-report signs — under both seed
+        // schemas. A change that alters how any of these consume their
+        // RNG fails here instead of silently reshuffling every
+        // experiment; such a change needs a new `SeedSchema`, not new
+        // constants.
+        const POPULATION: u64 = 0x2759_393d_92f2_bdbe;
+        const V1_STD: u64 = 0x5a12_8c34_2aa1_4359;
+        const V2_FAST: u64 = 0x47f1_e728_eeb3_5799;
+        let (params, pop) = setup(20_000, 64, 4, 7);
+        let mut times = Vec::new();
+        for stream in pop.streams() {
+            times.extend_from_slice(&(stream.change_times().len() as u64).to_le_bytes());
+            for &t in stream.change_times() {
+                times.extend_from_slice(&t.to_le_bytes());
+            }
+        }
+        let run = |schema| {
+            outcome_digest(&run_event_driven_schema(
+                &params,
+                &pop,
+                11,
+                ExecMode::Parallel(2),
+                AccumulatorKind::Dense,
+                schema,
+            ))
+        };
+        let got = (
+            rtf_core::snapshot::fnv1a64(&times),
+            run(SeedSchema::V1Std),
+            run(SeedSchema::V2Fast),
+        );
+        assert_eq!(got, (POPULATION, V1_STD, V2_FAST), "{got:#018x?}");
     }
 
     #[test]
