@@ -129,8 +129,9 @@ impl EstimateStore {
     /// [`write_state`](Self::write_state).
     ///
     /// # Errors
-    /// Typed [`SnapshotError`] on truncation or a `finalized_through`
-    /// beyond the horizon.
+    /// Typed [`SnapshotError`] on truncation (checked before the
+    /// `2d − 1`-float tree is allocated) or a `finalized_through` beyond
+    /// the horizon.
     pub fn read_state(
         params: &ProtocolParams,
         r: &mut SnapReader<'_>,
@@ -140,6 +141,10 @@ impl EstimateStore {
             return Err(SnapshotError::Corrupt(
                 "estimate store finalized beyond the horizon",
             ));
+        }
+        // 2d − 1 floats of 8 bytes each.
+        if params.d().saturating_mul(16) - 8 > r.remaining() as u64 {
+            return Err(SnapshotError::Truncated);
         }
         let hz = params.horizon();
         let mut tree = DyadicTree::new(hz);

@@ -29,7 +29,6 @@ use rtf_dyadic::frontier::Frontier;
 use rtf_dyadic::interval::DyadicInterval;
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::sign::Sign;
-use std::collections::HashMap;
 
 /// The fate of one report submitted through the checked ingestion path
 /// ([`Server::ingest_checked`]).
@@ -93,9 +92,23 @@ impl PeriodDelivery {
 /// Per-user state of the checked ingestion path.
 #[derive(Debug, Clone, Copy)]
 struct RosterEntry {
+    /// The announced order, or [`RosterEntry::VACANT`].
     order: u32,
     /// Boundary of the most recently accepted report (0 = none yet).
     last_accepted: u64,
+}
+
+impl RosterEntry {
+    /// The slot of a wire id that never registered. Orders never exceed
+    /// `log d < 64`, so no announced order collides with it.
+    const VACANT: RosterEntry = RosterEntry {
+        order: u32::MAX,
+        last_accepted: 0,
+    };
+
+    fn is_vacant(&self) -> bool {
+        self.order == Self::VACANT.order
+    }
 }
 
 /// The streaming server of Algorithm 2.
@@ -114,9 +127,15 @@ pub struct Server {
     current_t: u64,
     /// Optional full-tree retention of every `Ŝ(I)` for window queries.
     store: Option<EstimateStore>,
-    /// Announced users, keyed by wire id — populated only by
+    /// Announced users, indexed by wire id — populated only by
     /// [`register_client`](Self::register_client) (the checked path).
-    roster: HashMap<u32, RosterEntry>,
+    /// Slot `i` holds wire id `i`; the Vec ends at the largest registered
+    /// id, ids that never registered are [`RosterEntry::VACANT`], and the
+    /// trusted paths never allocate it. Wire ids are `0..n`, so a lookup
+    /// is one index, walked in step by the mailbox's near-ascending ids.
+    roster: Vec<RosterEntry>,
+    /// Number of occupied roster slots.
+    registered: usize,
     /// Accounting for the period currently being filled.
     current_delivery: PeriodDelivery,
     /// One finalised accounting row per closed period (checked path only).
@@ -161,7 +180,8 @@ impl Server {
             estimates: Vec::with_capacity(params.d() as usize),
             current_t: 0,
             store: None,
-            roster: HashMap::new(),
+            roster: Vec::new(),
+            registered: 0,
             current_delivery: PeriodDelivery::default(),
             delivery_log: Vec::new(),
             seed_schema: SeedSchema::from_env(),
@@ -297,19 +317,30 @@ impl Server {
     ///
     /// Unlike [`register_user`](Self::register_user) this never panics on
     /// adversarial input: it returns `false` (and registers nothing) for a
-    /// duplicate id, an order beyond `log d`, or a registration after
-    /// period 1 — the graceful behaviours an untrusted deployment needs.
+    /// duplicate id, an id outside `0..n`, an order beyond `log d`, or a
+    /// registration after period 1 — the graceful behaviours an untrusted
+    /// deployment needs.
+    ///
+    /// The roster is indexed by wire id, so it costs 16 bytes per id up
+    /// to the largest one registered (at most `16 n` bytes), allocated on
+    /// the first registration.
     pub fn register_client(&mut self, user: u32, h: u32) -> bool {
-        if self.current_t != 0 || h > self.params.log_d() || self.roster.contains_key(&user) {
+        let slot = user as usize;
+        if self.current_t != 0 || h > self.params.log_d() || slot >= self.params.n() {
             return false;
         }
-        self.roster.insert(
-            user,
-            RosterEntry {
-                order: h,
-                last_accepted: 0,
-            },
-        );
+        if slot >= self.roster.len() {
+            self.roster.resize(slot + 1, RosterEntry::VACANT);
+        }
+        let entry = &mut self.roster[slot];
+        if !entry.is_vacant() {
+            return false;
+        }
+        *entry = RosterEntry {
+            order: h,
+            last_accepted: 0,
+        };
+        self.registered += 1;
         self.group_sizes[h as usize] += 1;
         true
     }
@@ -349,9 +380,12 @@ impl Server {
         bit: Sign,
         floor: u64,
     ) -> Delivery {
-        let Some(entry) = self.roster.get_mut(&user) else {
-            self.current_delivery.unknown_user += 1;
-            return Delivery::UnknownUser;
+        let entry = match self.roster.get_mut(user as usize) {
+            Some(entry) if !entry.is_vacant() => entry,
+            _ => {
+                self.current_delivery.unknown_user += 1;
+                return Delivery::UnknownUser;
+            }
         };
         let h = entry.order;
         let stride = 1u64 << h;
@@ -466,7 +500,7 @@ impl Server {
             "period {t} beyond horizon d = {}",
             self.params.d()
         );
-        if !self.roster.is_empty() {
+        if self.registered != 0 {
             let mut row = std::mem::take(&mut self.current_delivery);
             row.t = t;
             row.due = self.due_at(t);
@@ -564,8 +598,8 @@ impl Server {
 
     /// Serializes the complete server state — parameters, scales, group
     /// sizes, accumulator lanes, frontier, estimates, retained store,
-    /// roster (sorted by wire id so snapshots of equal state are
-    /// byte-identical), and delivery accounting — into `w`.
+    /// roster (registered ids in ascending order, so snapshots of equal
+    /// state are byte-identical), and delivery accounting — into `w`.
     ///
     /// # Panics
     /// Panics if the writer's header schema differs from this server's —
@@ -610,16 +644,13 @@ impl Server {
                 store.write_state(w);
             }
         }
-        // HashMap iteration order is nondeterministic; sort by wire id so
-        // equal servers always serialize to equal bytes.
-        let mut users: Vec<u32> = self.roster.keys().copied().collect();
-        users.sort_unstable();
-        w.usize(users.len());
-        for user in users {
-            let entry = self.roster[&user];
-            w.u32(user);
-            w.u32(entry.order);
-            w.u64(entry.last_accepted);
+        w.usize(self.registered);
+        for (user, entry) in self.roster.iter().enumerate() {
+            if !entry.is_vacant() {
+                w.u32(user as u32);
+                w.u32(entry.order);
+                w.u64(entry.last_accepted);
+            }
         }
         write_delivery(w, &self.current_delivery);
         w.usize(self.delivery_log.len());
@@ -631,12 +662,18 @@ impl Server {
     /// Rebuilds a server from bytes written by
     /// [`write_snapshot`](Self::write_snapshot). Every field is
     /// validated against the protocol invariants (parameter validity,
-    /// per-order shape, frontier indices on the horizon, roster orders
-    /// within `log d`, estimate count equal to the closed-period count).
+    /// per-order shape, frontier indices on the horizon, roster ids
+    /// ascending and below `n`, roster orders within `log d`, estimate
+    /// count equal to the closed-period count).
+    ///
+    /// Allocations are bounded before they are made: the estimates must
+    /// fit in the bytes that remain, and the roster is sized once, to the
+    /// largest restored id + 1, through a fallible reservation.
     ///
     /// # Errors
-    /// A typed [`SnapshotError`]; malformed bytes never panic and never
-    /// produce a structurally invalid server.
+    /// A typed [`SnapshotError`]; malformed bytes never panic, never
+    /// abort on a crafted length, and never produce a structurally
+    /// invalid server.
     pub fn read_snapshot(r: &mut SnapReader<'_>) -> Result<Server, SnapshotError> {
         let n = r.usize()?;
         let d = r.u64()?;
@@ -676,6 +713,9 @@ impl Server {
         if current_t > d {
             return Err(SnapshotError::Corrupt("current period beyond the horizon"));
         }
+        if current_t.saturating_mul(8) > r.remaining() as u64 {
+            return Err(SnapshotError::Truncated);
+        }
         let mut estimates = Vec::with_capacity(current_t as usize);
         for _ in 0..current_t {
             estimates.push(r.f64()?);
@@ -685,15 +725,16 @@ impl Server {
         } else {
             None
         };
-        let roster_len = r.len(16)?;
-        let mut roster = HashMap::with_capacity(roster_len);
-        let mut prev_user: Option<u32> = None;
-        for _ in 0..roster_len {
+        let registered = r.len(16)?;
+        let mut entries: Vec<(u32, RosterEntry)> = Vec::with_capacity(registered);
+        for _ in 0..registered {
             let user = r.u32()?;
-            if prev_user.is_some_and(|p| user <= p) {
+            if entries.last().is_some_and(|&(p, _)| user <= p) {
                 return Err(SnapshotError::Corrupt("roster not sorted by wire id"));
             }
-            prev_user = Some(user);
+            if user as usize >= n {
+                return Err(SnapshotError::Corrupt("roster id beyond n"));
+            }
             let order = r.u32()?;
             if order > params.log_d() {
                 return Err(SnapshotError::Corrupt("roster order beyond log d"));
@@ -702,13 +743,24 @@ impl Server {
             if last_accepted > d {
                 return Err(SnapshotError::Corrupt("roster acceptance beyond horizon"));
             }
-            roster.insert(
+            entries.push((
                 user,
                 RosterEntry {
                     order,
                     last_accepted,
                 },
-            );
+            ));
+        }
+        let mut roster = Vec::new();
+        if let Some(&(last, _)) = entries.last() {
+            let len = last as usize + 1;
+            roster
+                .try_reserve_exact(len)
+                .map_err(|_| SnapshotError::Corrupt("roster too large to allocate"))?;
+            roster.resize(len, RosterEntry::VACANT);
+            for (user, entry) in entries {
+                roster[user as usize] = entry;
+            }
         }
         let current_delivery = read_delivery(r)?;
         let log_len = r.len(64)?;
@@ -729,6 +781,7 @@ impl Server {
             current_t,
             store,
             roster,
+            registered,
             current_delivery,
             delivery_log,
             // The header is authoritative: a restored server belongs to
@@ -766,6 +819,7 @@ fn read_delivery(r: &mut SnapReader<'_>) -> Result<PeriodDelivery, SnapshotError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::fnv1a64;
 
     fn params() -> ProtocolParams {
         ProtocolParams::new(100, 8, 2, 1.0, 0.05).unwrap()
@@ -1181,14 +1235,11 @@ mod tests {
         assert!(server.validate_shard(&server.new_shard()).is_ok());
     }
 
-    /// Drives a server mid-horizon through the checked path (roster,
-    /// delivery accounting, retained store, a partially filled period),
-    /// snapshots it, restores, and demands byte-identical re-snapshots
-    /// plus field-level equality of everything observable.
-    #[test]
-    fn server_snapshot_roundtrips_mid_horizon_on_every_backend() {
-        use crate::snapshot::{SnapReader, SnapWriter};
-        let mut server = Server::for_future_rand(params());
+    /// A server driven mid-horizon through the checked path: 12 clients
+    /// over three orders, a retained store, five closed periods and a
+    /// half-filled period 6.
+    fn mid_horizon_server(schema: SeedSchema) -> Server {
+        let mut server = Server::for_future_rand_schema(params(), AccumulatorKind::Dense, schema);
         server.enable_store();
         for u in 0..12u32 {
             assert!(server.register_client(u, u % 3));
@@ -1213,6 +1264,76 @@ mod tests {
                 server.ingest_checked(u, 6, Sign::Plus);
             }
         }
+        server
+    }
+
+    /// A mid-horizon server whose roster is sparse in the id space
+    /// (ids 7, 8 and 99 of n = 100), with unknown, duplicate, late and
+    /// premature traffic in its delivery rows.
+    fn sparse_roster_server() -> Server {
+        let mut server =
+            Server::for_future_rand_schema(params(), AccumulatorKind::Dense, SeedSchema::V1Std);
+        for (user, h) in [(99u32, 2u32), (7, 0), (8, 1)] {
+            assert!(server.register_client(user, h));
+        }
+        for t in 1..=5u64 {
+            for (user, h) in [(7u32, 0u32), (8, 1), (99, 2)] {
+                if t % (1 << h) == 0 {
+                    let bit = if (user as u64 + t) % 2 == 0 {
+                        Sign::Plus
+                    } else {
+                        Sign::Minus
+                    };
+                    assert_eq!(server.ingest_checked(user, t, bit), Delivery::Accepted);
+                }
+            }
+            assert_eq!(server.ingest_checked(7, t, Sign::Plus), Delivery::Duplicate);
+            assert_eq!(
+                server.ingest_checked(50, t, Sign::Plus),
+                Delivery::UnknownUser
+            );
+            assert_eq!(
+                server.ingest_checked(7, t + 1, Sign::Plus),
+                Delivery::Premature
+            );
+            if t > 1 {
+                assert_eq!(server.ingest_checked(7, t - 1, Sign::Minus), Delivery::Late);
+            }
+            let _ = server.end_of_period(t);
+        }
+        assert_eq!(server.ingest_checked(7, 6, Sign::Minus), Delivery::Accepted);
+        server
+    }
+
+    fn snapshot_bytes(server: &Server) -> Vec<u8> {
+        let mut w = SnapWriter::for_schema(server.seed_schema());
+        server.write_snapshot(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned_by_golden_digests() {
+        // Pins the snapshot encoding of the checked path's state — the
+        // roster in wire-id order above all — for a dense and a sparse
+        // roster. A change to how the roster is stored must leave these
+        // bytes alone; a change to the format needs a new
+        // `SNAPSHOT_VERSION`, not new constants.
+        const MID_HORIZON: u64 = 0x9ece_cf8e_09f3_aebb;
+        const SPARSE_ROSTER: u64 = 0xda89_2377_288b_9353;
+        let got = (
+            fnv1a64(&snapshot_bytes(&mid_horizon_server(SeedSchema::V1Std))),
+            fnv1a64(&snapshot_bytes(&sparse_roster_server())),
+        );
+        assert_eq!(got, (MID_HORIZON, SPARSE_ROSTER), "{got:#018x?}");
+    }
+
+    /// Drives a server mid-horizon through the checked path (roster,
+    /// delivery accounting, retained store, a partially filled period),
+    /// snapshots it, restores, and demands byte-identical re-snapshots
+    /// plus field-level equality of everything observable.
+    #[test]
+    fn server_snapshot_roundtrips_mid_horizon_on_every_backend() {
+        let server = mid_horizon_server(SeedSchema::from_env());
         let mut w = SnapWriter::new();
         server.write_snapshot(&mut w);
         let bytes = w.finish();
@@ -1241,7 +1362,6 @@ mod tests {
 
     #[test]
     fn server_snapshot_rejects_inconsistent_fields() {
-        use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
         let server = Server::for_future_rand(params());
         // A wrong parameter quintuple (d not a power of two) is Corrupt.
         let mut w = SnapWriter::new();
@@ -1261,6 +1381,131 @@ mod tests {
         server.write_snapshot(&mut w);
         let bytes = w.finish();
         assert!(SnapReader::new(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn roster_refuses_ids_outside_the_population() {
+        let mut server = Server::for_future_rand(params());
+        assert_eq!(
+            server.ingest_checked(3, 1, Sign::Plus),
+            Delivery::UnknownUser
+        );
+        assert!(server.roster.is_empty(), "no registration, no roster");
+        assert!(!server.register_client(100, 0), "ids are 0..n");
+        assert!(!server.register_client(u32::MAX, 0));
+        assert!(server.register_client(99, 1));
+        assert!(server.register_client(3, 0));
+        assert!(!server.register_client(3, 1), "duplicate id");
+        assert_eq!(server.roster.len(), 100);
+        assert_eq!(server.group_sizes(), &[1, 1, 0, 0]);
+        for user in [0u32, 98, 100, u32::MAX] {
+            assert_eq!(
+                server.ingest_checked(user, 1, Sign::Plus),
+                Delivery::UnknownUser
+            );
+        }
+        assert_eq!(server.ingest_checked(3, 1, Sign::Plus), Delivery::Accepted);
+        let _ = server.end_of_period(1);
+        assert_eq!(server.delivery_log()[0].unknown_user, 5);
+        assert!(!server.register_client(4, 0), "late registration");
+    }
+
+    /// The state prefix of a fresh server with `params` (parameters,
+    /// scales, empty groups, accumulator and frontier), ready for the
+    /// period count.
+    fn empty_state_prefix(p: ProtocolParams) -> SnapWriter {
+        let orders = p.num_orders();
+        let mut w = SnapWriter::for_schema(SeedSchema::V1Std);
+        w.usize(p.n());
+        w.u64(p.d());
+        w.usize(p.k());
+        w.f64(p.epsilon());
+        w.f64(p.beta());
+        for _ in 0..orders {
+            w.f64(1.0);
+        }
+        for _ in 0..orders {
+            w.usize(0);
+        }
+        DenseAccumulator::new(orders as usize).write_state(&mut w);
+        for _ in 0..orders {
+            w.bool(false);
+        }
+        w
+    }
+
+    #[test]
+    fn server_snapshot_refuses_counts_the_bytes_cannot_hold() {
+        // A checksummed snapshot claiming d = 2^40 closed periods must be
+        // refused before 8 TB of estimates are allocated, not abort.
+        let p = ProtocolParams::new(100, 1 << 40, 2, 1.0, 0.05).unwrap();
+        let mut w = empty_state_prefix(p);
+        w.u64(p.d());
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            Server::read_snapshot(&mut r).unwrap_err(),
+            SnapshotError::Truncated
+        );
+        // Likewise a retained store of 2d − 1 floats at period 0.
+        let mut w = empty_state_prefix(p);
+        w.u64(0);
+        w.bool(true);
+        w.u64(0);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            Server::read_snapshot(&mut r).unwrap_err(),
+            SnapshotError::Truncated
+        );
+    }
+
+    #[test]
+    fn server_snapshot_rejects_roster_ids_beyond_n() {
+        let p = params();
+        let mut w = empty_state_prefix(p);
+        w.u64(0);
+        w.bool(false);
+        w.usize(1);
+        w.u32(100);
+        w.u32(0);
+        w.u64(0);
+        write_delivery(&mut w, &PeriodDelivery::default());
+        w.usize(0);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            Server::read_snapshot(&mut r).unwrap_err(),
+            SnapshotError::Corrupt("roster id beyond n")
+        );
+    }
+
+    #[test]
+    fn sparse_roster_of_a_huge_population_restores_without_n_sized_memory() {
+        // n = 2^60 with one client at id 5: the roster covers ids 0..=5,
+        // live and restored alike, and re-snapshots byte-identically.
+        let p = ProtocolParams::new(1 << 60, 8, 2, 1.0, 0.05).unwrap();
+        let mut server =
+            Server::for_future_rand_schema(p, AccumulatorKind::Dense, SeedSchema::V1Std);
+        assert!(server.register_client(5, 1));
+        assert_eq!(server.roster.len(), 6);
+        let _ = server.end_of_period(1);
+        assert_eq!(server.ingest_checked(5, 2, Sign::Minus), Delivery::Accepted);
+        let bytes = snapshot_bytes(&server);
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let mut back = Server::read_snapshot(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.roster.len(), 6);
+        assert_eq!(snapshot_bytes(&back), bytes, "re-snapshot differs");
+        assert_eq!(back.ingest_checked(5, 2, Sign::Minus), Delivery::Duplicate);
+        assert_eq!(
+            back.ingest_checked(4, 2, Sign::Minus),
+            Delivery::UnknownUser
+        );
+        assert_eq!(
+            back.end_of_period(2).to_bits(),
+            server.end_of_period(2).to_bits()
+        );
     }
 
     #[test]

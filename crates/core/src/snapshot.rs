@@ -343,13 +343,19 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Payload bytes not yet read — the bound a count taken from the
+    /// payload itself must respect before it sizes an allocation.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Reads a length prefix that is about to drive `len` reads of
     /// `min_elem_bytes`-sized elements, rejecting lengths the remaining
     /// payload cannot possibly hold — an allocation guard for
     /// hand-crafted input.
     pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
         let len = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if len.checked_mul(min_elem_bytes.max(1)).is_none()
             || len * min_elem_bytes.max(1) > remaining
         {

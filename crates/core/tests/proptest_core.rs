@@ -8,7 +8,10 @@ use rtf_core::composed::ComposedRandomizer;
 use rtf_core::gap::WeightClassLaw;
 use rtf_core::params::ProtocolParams;
 use rtf_core::randomizer::{FutureRand, IndependentRand, LocalRandomizer};
+use rtf_core::server::{Delivery, PeriodDelivery, Server};
+use rtf_core::snapshot::{SnapReader, SnapWriter};
 use rtf_primitives::sign::{Sign, Ternary};
+use std::collections::HashMap;
 
 proptest! {
     /// The annulus always satisfies 0 ≤ LB ≤ UB < k, and inside/outside
@@ -321,5 +324,217 @@ proptest! {
             }
             prop_assert_eq!(&fresh, &adopted);
         }
+    }
+}
+
+/// Reference for the server's checked ingestion: the same ladder over a
+/// `HashMap` roster keyed by wire id, with ids outside `0..n` refused at
+/// registration. Accepted bits go to a trusted-path server, which
+/// supplies the estimator math.
+struct RosterModel {
+    n: usize,
+    d: u64,
+    log_d: u32,
+    /// Wire id → (announced order, last accepted boundary).
+    roster: HashMap<u32, (u32, u64)>,
+    group_sizes: Vec<usize>,
+    current_t: u64,
+    row: PeriodDelivery,
+    log: Vec<PeriodDelivery>,
+    trusted: Server,
+}
+
+impl RosterModel {
+    fn new(params: ProtocolParams) -> Self {
+        RosterModel {
+            n: params.n(),
+            d: params.d(),
+            log_d: params.log_d(),
+            roster: HashMap::new(),
+            group_sizes: vec![0; params.num_orders() as usize],
+            current_t: 0,
+            row: PeriodDelivery::default(),
+            log: Vec::new(),
+            trusted: Server::for_future_rand(params),
+        }
+    }
+
+    fn register(&mut self, user: u32, h: u32) -> bool {
+        if self.current_t != 0
+            || h > self.log_d
+            || user as usize >= self.n
+            || self.roster.contains_key(&user)
+        {
+            return false;
+        }
+        self.roster.insert(user, (h, 0));
+        self.group_sizes[h as usize] += 1;
+        true
+    }
+
+    fn ingest(&mut self, user: u32, t: u64, bit: Sign, floor: u64) -> Delivery {
+        let Some((h, last)) = self.roster.get_mut(&user) else {
+            self.row.unknown_user += 1;
+            return Delivery::UnknownUser;
+        };
+        let h = *h;
+        if t == 0 || t > self.d || t % (1u64 << h) != 0 {
+            self.row.invalid_period += 1;
+            return Delivery::InvalidPeriod;
+        }
+        if t == (*last).max(floor) {
+            self.row.duplicate += 1;
+            return Delivery::Duplicate;
+        }
+        if t <= self.current_t {
+            self.row.late += 1;
+            return Delivery::Late;
+        }
+        if t != self.current_t + 1 {
+            self.row.premature += 1;
+            return Delivery::Premature;
+        }
+        *last = t;
+        self.trusted.ingest(h, bit);
+        self.row.accepted += 1;
+        Delivery::Accepted
+    }
+
+    fn span_run(&mut self, h: u32, plus: u64, count: u64) {
+        self.trusted.ingest_span_run(h, plus, count);
+        self.row.accepted += count;
+    }
+
+    fn end_of_period(&mut self) -> f64 {
+        let t = self.current_t + 1;
+        if !self.roster.is_empty() {
+            let mut row = std::mem::take(&mut self.row);
+            row.t = t;
+            row.due = (0..=t.trailing_zeros().min(self.log_d))
+                .map(|h| self.group_sizes[h as usize] as u64)
+                .sum();
+            self.log.push(row);
+        }
+        self.current_t = t;
+        self.trusted.end_of_period(t)
+    }
+}
+
+/// A wire id from raw bits: mostly inside `0..n`, sometimes just past
+/// it, sometimes `u32::MAX`.
+fn wire_id(bits: u64, n: usize) -> u32 {
+    match bits % 8 {
+        0 => u32::MAX,
+        1 => (n as u64 + (bits >> 3) % 3) as u32,
+        _ => ((bits >> 3) % n as u64) as u32,
+    }
+}
+
+/// A claimed boundary from raw bits: on time, late, premature, zero,
+/// past the horizon, or anywhere on it (often off the sender's stride).
+fn claimed_period(bits: u64, current_t: u64, d: u64) -> u64 {
+    match bits % 7 {
+        0 | 1 => current_t + 1,
+        2 => current_t,
+        3 => current_t + 2,
+        4 => 0,
+        5 => u64::MAX,
+        _ => (bits >> 3) % (d + 3),
+    }
+}
+
+fn snapshot_bytes(server: &Server) -> Vec<u8> {
+    let mut w = SnapWriter::for_schema(server.seed_schema());
+    server.write_snapshot(&mut w);
+    w.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The id-indexed roster behind checked ingestion is the wire-id map
+    /// it replaced: over random interleavings of registrations (ids past
+    /// `n` and `u32::MAX`, duplicates, bad orders, late ones), floor-
+    /// checked reports (wrong strides, stale, premature and off-horizon
+    /// boundaries, arbitrary floors), folded span runs and period closes
+    /// — with one snapshot → restore → resume at a random point — every
+    /// verdict, group size, delivery row and estimate bit matches a
+    /// `HashMap` model of the same ladder.
+    #[test]
+    fn roster_matches_a_hash_map_model(
+        n in 1usize..32,
+        log_d in 1u32..6,
+        announcements in proptest::collection::vec(0u64..u64::MAX, 0..96),
+        ops in proptest::collection::vec(0u64..u64::MAX, 0..160),
+        restore_at in 0usize..160,
+    ) {
+        let params = ProtocolParams::new(n, 1 << log_d, 1, 1.0, 0.05).unwrap();
+        let d = params.d();
+        let mut server = Server::for_future_rand(params);
+        let mut model = RosterModel::new(params);
+        let register = |server: &mut Server, model: &mut RosterModel, bits: u64| {
+            let user = wire_id(bits >> 8, n);
+            let h = ((bits >> 4) % u64::from(log_d + 2)) as u32;
+            (server.register_client(user, h), model.register(user, h))
+        };
+        for &bits in &announcements {
+            let (got, want) = register(&mut server, &mut model, bits);
+            prop_assert_eq!(got, want);
+        }
+        for (i, &bits) in ops.iter().enumerate() {
+            if i == restore_at {
+                let bytes = snapshot_bytes(&server);
+                let mut r = SnapReader::new(&bytes).unwrap();
+                server = Server::read_snapshot(&mut r).unwrap();
+                r.finish().unwrap();
+                prop_assert_eq!(snapshot_bytes(&server), bytes);
+            }
+            match bits % 8 {
+                0 => {
+                    let (got, want) = register(&mut server, &mut model, bits);
+                    prop_assert_eq!(got, want, "op {}", i);
+                }
+                1..=5 => {
+                    let user = wire_id(bits >> 8, n);
+                    let t = claimed_period(bits >> 16, model.current_t, d);
+                    let floor = match (bits >> 3) % 4 {
+                        0 => 0,
+                        1 => t,
+                        2 => model.current_t,
+                        _ => (bits >> 40) % (d + 1),
+                    };
+                    let bit = if bits & (1 << 5) == 0 { Sign::Plus } else { Sign::Minus };
+                    prop_assert_eq!(
+                        server.ingest_checked_with_floor(user, t, bit, floor),
+                        model.ingest(user, t, bit, floor),
+                        "op {}: user {} t {} floor {}", i, user, t, floor
+                    );
+                }
+                6 => {
+                    let h = ((bits >> 8) % u64::from(log_d + 1)) as u32;
+                    let count = (bits >> 16) % 5;
+                    let plus = (bits >> 24) % (count + 1);
+                    server.ingest_span_run(h, plus, count);
+                    model.span_run(h, plus, count);
+                }
+                _ => {
+                    if model.current_t < d {
+                        let t = model.current_t + 1;
+                        prop_assert_eq!(
+                            server.end_of_period(t).to_bits(),
+                            model.end_of_period().to_bits(),
+                            "period {}", t
+                        );
+                        prop_assert_eq!(server.delivery_log(), &model.log[..]);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(server.group_sizes(), &model.group_sizes[..]);
+        prop_assert_eq!(server.delivery_log(), &model.log[..]);
+        prop_assert_eq!(server.reports_ingested(), model.trusted.reports_ingested());
+        let got: Vec<u64> = server.estimates().iter().map(|e| e.to_bits()).collect();
+        let want: Vec<u64> = model.trusted.estimates().iter().map(|e| e.to_bits()).collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -1473,6 +1473,94 @@ mod tests {
         }
     }
 
+    /// FNV-1a digest of a scenario run's observables: estimates (as raw
+    /// `f64` bits), every delivery row, every fault tally, and the
+    /// per-period Byzantine acceptances.
+    fn scenario_digest(out: &ScenarioOutcome) -> u64 {
+        let mut words: Vec<u64> = out.estimates.iter().map(|e| e.to_bits()).collect();
+        for row in &out.delivery {
+            let PeriodDelivery {
+                t,
+                due,
+                accepted,
+                duplicate,
+                late,
+                unknown_user,
+                invalid_period,
+                premature,
+            } = *row;
+            words.extend([
+                t,
+                due,
+                accepted,
+                duplicate,
+                late,
+                unknown_user,
+                invalid_period,
+                premature,
+            ]);
+        }
+        let FaultCounts {
+            dropped,
+            churned_clients,
+            lost_to_churn,
+            delayed,
+            duplicates_injected,
+            byzantine_messages,
+            byzantine_accepted,
+            expired,
+            malformed,
+        } = out.faults;
+        words.extend([
+            dropped,
+            churned_clients,
+            lost_to_churn,
+            delayed,
+            duplicates_injected,
+            byzantine_messages,
+            byzantine_accepted,
+            expired,
+            malformed,
+        ]);
+        words.extend(&out.byzantine_accepted_by_period);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        rtf_core::snapshot::fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn fault_storm_outcome_is_pinned_by_golden_digests() {
+        // Pins every verdict of the checked ingestion ladder under a
+        // heavy fault mix (dropout, stragglers, duplicates, Byzantine
+        // clients, malformed frames, churn) on the batched engine, under
+        // both seed schemas. A change to how the server keeps its roster
+        // or classifies frames must leave these bits alone.
+        const V1_STD: u64 = 0x88e9_f302_f097_01bb;
+        const V2_FAST: u64 = 0x6bec_4a7b_521b_9de3;
+        let (params, pop) = setup(20_000, 64, 4, 7);
+        let storm = Scenario::honest()
+            .with_dropout(0.05)
+            .with_stragglers(0.10, 3)
+            .with_duplicates(0.10)
+            .with_byzantine(0.01)
+            .with_malformed(0.01)
+            .with_churn(0.001);
+        let run = |schema| {
+            let (out, _) = run_scenario_batched_timed(
+                &params,
+                &pop,
+                11,
+                &storm,
+                2,
+                AccumulatorKind::Dense,
+                schema,
+            );
+            assert!(out.faults.byzantine_accepted > 0 && out.faults.malformed > 0);
+            scenario_digest(&out)
+        };
+        let got = (run(SeedSchema::V1Std), run(SeedSchema::V2Fast));
+        assert_eq!(got, (V1_STD, V2_FAST), "{got:#018x?}");
+    }
+
     #[test]
     fn zipf_delay_law_draws_once_and_clamps() {
         let mut rng = SeedSequence::new(101).rng();
