@@ -66,8 +66,16 @@ pub trait LocalRandomizer {
     /// violations.
     fn next(&mut self, v: Ternary, rng: &mut dyn RngCore) -> Sign {
         self.try_next(v, rng)
-            .unwrap_or_else(|e| panic!("randomizer protocol violation: {e}"))
+            .unwrap_or_else(|e| protocol_violation(e))
     }
+}
+
+/// The panic every panicking randomizer entry point raises on `e`, so
+/// the per-report, span-major and user-major paths fail with one text.
+#[cold]
+#[track_caller]
+fn protocol_violation(e: RandomizerError) -> ! {
+    panic!("randomizer protocol violation: {e}")
 }
 
 /// The **FutureRand** randomizer (Algorithm 3).
@@ -390,10 +398,7 @@ impl SpanRandomizers {
         assert_eq!(sums.len(), self.nnz.len(), "one sum per lane");
         assert_eq!(rngs.len(), self.nnz.len(), "one RNG per lane");
         if self.position >= self.l {
-            panic!(
-                "randomizer protocol violation: {}",
-                RandomizerError::SequenceExhausted { l: self.l }
-            );
+            protocol_violation(RandomizerError::SequenceExhausted { l: self.l });
         }
         self.position += 1;
         let j = (self.position - 1) as u64;
@@ -408,10 +413,7 @@ impl SpanRandomizers {
                 nonzero => {
                     let n = self.nnz[i] as usize;
                     if n >= k {
-                        panic!(
-                            "randomizer protocol violation: {}",
-                            RandomizerError::TooManyNonZeros { k }
-                        );
+                        protocol_violation(RandomizerError::TooManyNonZeros { k });
                     }
                     self.nnz[i] = (n + 1) as u32;
                     nonzero.mul_sign(self.b_tilde[i * k + n])
@@ -444,10 +446,7 @@ impl SpanRandomizers {
             "fill_span_words requires the fast (v2) seed schema"
         );
         if self.position >= self.l {
-            panic!(
-                "randomizer protocol violation: {}",
-                RandomizerError::SequenceExhausted { l: self.l }
-            );
+            protocol_violation(RandomizerError::SequenceExhausted { l: self.l });
         }
         self.position += 1;
         let j = (self.position - 1) as u64;
@@ -480,10 +479,7 @@ impl SpanRandomizers {
                         let i = start + off;
                         let n = self.nnz[i] as usize;
                         if n >= k {
-                            panic!(
-                                "randomizer protocol violation: {}",
-                                RandomizerError::TooManyNonZeros { k }
-                            );
+                            protocol_violation(RandomizerError::TooManyNonZeros { k });
                         }
                         self.nnz[i] = (n + 1) as u32;
                         nonzero.mul_sign(self.b_tilde[i * k + n]) == Sign::Plus
@@ -493,6 +489,83 @@ impl SpanRandomizers {
             }
             out(w, chunk);
             start += chunk;
+        }
+    }
+}
+
+/// Writes one client's whole length-`l` [`FutureRand`] report sequence
+/// as packed words — the user-major counterpart of
+/// [`SpanRandomizers::fill_span`]/[`fill_span_words`](SpanRandomizers::fill_span_words).
+/// Bit `j` of `words[j / 64]` is the report at span `j` (`1` ⇒ `+1`);
+/// bits past `l` are zero.
+///
+/// `b_tilde` is the client's pre-computed `b̃` (its length is the
+/// sparsity bound `k`) and `nonzeros` lists the spans whose partial sum
+/// is non-zero, as strictly ascending `(span, ±1)` pairs. Span `j` of
+/// the `nnz`-th non-zero reports `v · b̃[nnz]`; a zero span reports its
+/// uniform sign — under [`SeedSchema::V2Fast`] bit `j` of the client's
+/// [`fastseed::word`] stream (`rng` is not read), under
+/// [`SeedSchema::V1Std`] one `Sign::uniform(rng)` draw per zero span, in
+/// span order. Those are exactly the outputs and draws of `l` calls to
+/// `FutureRand::next` on the same client, so `rng` ends where the
+/// reference leaves it.
+///
+/// # Panics
+/// Panics if `words` is not `⌈l/64⌉` long or `nonzeros` is not strictly
+/// ascending, and on the protocol violations [`LocalRandomizer::next`]
+/// panics on, with the same message: a non-zero at span `≥ l`
+/// ([`RandomizerError::SequenceExhausted`]) or more than `k` non-zeros
+/// ([`RandomizerError::TooManyNonZeros`]).
+pub fn fill_sequence_words<R, I>(
+    l: usize,
+    b_tilde: &[Sign],
+    nonzeros: I,
+    schema: SeedSchema,
+    fast_key: u64,
+    rng: &mut R,
+    words: &mut [u64],
+) where
+    R: Rng + ?Sized,
+    I: IntoIterator<Item = (usize, Ternary)>,
+{
+    assert_eq!(words.len(), l.div_ceil(64), "one word per 64 reports");
+    let fast = schema.is_fast();
+    if fast {
+        for (block, w) in words.iter_mut().enumerate() {
+            *w = fastseed::word(fast_key, fastseed::SIGN_LANE, block as u64);
+        }
+    } else {
+        words.fill(0);
+    }
+    // Under v1, draws one uniform sign per zero span in `spans`.
+    let mut draw_zeros = |words: &mut [u64], spans: std::ops::Range<usize>| {
+        for j in spans {
+            words[j / 64] |= u64::from(Sign::uniform(rng) == Sign::Plus) << (j % 64);
+        }
+    };
+    let mut next = 0usize;
+    for (nnz, (j, v)) in nonzeros.into_iter().enumerate() {
+        assert!(j >= next, "non-zero spans must be strictly ascending");
+        if j >= l {
+            protocol_violation(RandomizerError::SequenceExhausted { l });
+        }
+        if nnz >= b_tilde.len() {
+            protocol_violation(RandomizerError::TooManyNonZeros { k: b_tilde.len() });
+        }
+        if !fast {
+            draw_zeros(words, next..j);
+        }
+        let bit = 1u64 << (j % 64);
+        let plus = v.mul_sign(b_tilde[nnz]) == Sign::Plus;
+        words[j / 64] = (words[j / 64] & !bit) | if plus { bit } else { 0 };
+        next = j + 1;
+    }
+    if !fast {
+        draw_zeros(words, next..l);
+    }
+    if l % 64 != 0 {
+        if let Some(last) = words.last_mut() {
+            *last &= (1u64 << (l % 64)) - 1;
         }
     }
 }

@@ -538,3 +538,116 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// Packs `l` calls of `FutureRand::next` into words (bit `j` = the
+/// report at span `j`), feeding the non-zeros of `schedule` (ascending
+/// `(span, ±1)`) and zeros elsewhere; panics where `next` panics.
+fn reference_words(
+    m: &mut FutureRand,
+    l: usize,
+    schedule: &[(usize, Ternary)],
+    rng: &mut StdRng,
+) -> Vec<u64> {
+    let mut words = vec![0u64; l.div_ceil(64)];
+    let mut pending = schedule.iter().peekable();
+    let last = schedule.last().map_or(0, |&(j, _)| j + 1);
+    for j in 0..l.max(last) {
+        let v = match pending.peek() {
+            Some(&&(span, v)) if span == j => {
+                pending.next();
+                v
+            }
+            _ => Ternary::Zero,
+        };
+        if m.next(v, rng) == Sign::Plus {
+            words[j / 64] |= 1 << (j % 64);
+        }
+    }
+    words
+}
+
+/// The panic message of `f`.
+fn panic_text(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+    err.downcast_ref::<String>()
+        .cloned()
+        .expect("formatted panic message")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The user-major writer is the per-report randomizer, packed: over
+    /// sequence lengths 1..=1024 (one to sixteen words), sparsity bounds
+    /// 1..=min(l, 40) and random ascending non-zero schedules of at most
+    /// `k` signed entries, `fill_sequence_words` writes exactly the words
+    /// `FutureRand::init_with_schema` followed by `l` calls to `next`
+    /// produces, under both seed schemas, and leaves the RNG where the
+    /// reference leaves it. A (k+1)-th non-zero — or, when `k = l`, a
+    /// non-zero past the end — panics with the reference's message.
+    #[test]
+    fn sequence_words_match_future_rand_next(
+        log_l in 0u32..=10,
+        k_raw in 0usize..40,
+        eps in 0.05f64..=1.0,
+        seed in 0u64..u64::MAX,
+        schedule_seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, RngCore};
+        use rtf_core::randomizer::fill_sequence_words;
+        use rtf_primitives::fastseed::SeedSchema;
+
+        let l = 1usize << log_l;
+        let k = 1 + k_raw % l.min(40);
+        let composed = ComposedRandomizer::for_protocol(k, eps);
+        // Random ascending spans with random signs: at most `k` for the
+        // valid schedule, one too many for `over`.
+        let mut schedule_rng = StdRng::seed_from_u64(schedule_seed);
+        let mut signed = |count: usize| -> Vec<(usize, Ternary)> {
+            let spans = rtf_primitives::subset::sample_subset(l, count, &mut schedule_rng);
+            spans
+                .into_iter()
+                .map(|j| (j, if schedule_rng.random::<bool>() { Ternary::Plus } else { Ternary::Minus }))
+                .collect()
+        };
+        let count = (schedule_seed % (k as u64 + 1)) as usize;
+        let schedule = signed(count);
+        let over = if l > k {
+            signed(k + 1)
+        } else {
+            let mut all = signed(l);
+            all.push((l, Ternary::Plus));
+            all
+        };
+        let fast_key = seed.rotate_left(29) ^ 0x5EED;
+
+        for schema in [SeedSchema::V1Std, SeedSchema::V2Fast] {
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let mut m = FutureRand::init_with_schema(l, &composed, &mut ref_rng, schema, fast_key);
+            let expect = reference_words(&mut m, l, &schedule, &mut ref_rng);
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let b_tilde = composed.sample_for_all_ones(&mut rng);
+            prop_assert_eq!(&b_tilde[..], m.b_tilde());
+            // Start from set bits: every position must be written.
+            let mut words = vec![u64::MAX; l.div_ceil(64)];
+            fill_sequence_words(l, &b_tilde, schedule.iter().copied(), schema, fast_key, &mut rng, &mut words);
+            prop_assert_eq!(&words, &expect, "{:?}", schema);
+            prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "{:?}: RNG diverged", schema);
+
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let mut m = FutureRand::init_with_schema(l, &composed, &mut ref_rng, schema, fast_key);
+            let expect_panic = panic_text(|| {
+                reference_words(&mut m, l, &over, &mut ref_rng);
+            });
+            let mut rng = StdRng::seed_from_u64(seed);
+            let b_tilde = composed.sample_for_all_ones(&mut rng);
+            let got_panic = panic_text(|| {
+                fill_sequence_words(l, &b_tilde, over.iter().copied(), schema, fast_key, &mut rng, &mut words);
+            });
+            prop_assert_eq!(&got_panic, &expect_panic, "{:?}", schema);
+            let violation = if l > k { "more than k" } else { "longer than declared L" };
+            prop_assert!(got_panic.contains(violation), "{}", got_panic);
+        }
+    }
+}

@@ -184,6 +184,95 @@ impl SignLane {
     }
 }
 
+/// Per-position `+1` counts over many packed rows — the transpose of
+/// [`SignLane::count_plus`]. Where a sign lane holds one span's reports
+/// across many lanes, a row here is one lane's reports across many
+/// positions (bit `j` of `row[j / 64]`, `1` ⇒ `+1`), and
+/// [`into_totals`](Self::into_totals) gives, for every position, how
+/// many rows had a `+1` there.
+///
+/// Each row word costs 8 shift-mask-adds: shift `s` adds bit `8b + s`
+/// of the word into byte `b` of the accumulator word for `s`. A byte
+/// gains at most 1 per row, so the accumulators flush into the `u64`
+/// totals every 255 rows, before any byte can overflow.
+#[derive(Debug, Clone)]
+pub struct PositionalCounter {
+    /// Eight byte-counter words per row word, flushed every
+    /// [`FLUSH_ROWS`](Self::FLUSH_ROWS) rows.
+    bytes: Vec<u64>,
+    /// Flushed `+1` count per position.
+    totals: Vec<u64>,
+    /// Rows added.
+    rows: usize,
+}
+
+impl PositionalCounter {
+    /// The most rows a byte counter can absorb without overflowing.
+    const FLUSH_ROWS: usize = 255;
+
+    /// A counter over positions `0..positions`; its rows are
+    /// `⌈positions / 64⌉` words, and row bits at or past `positions`
+    /// are ignored.
+    pub fn new(positions: usize) -> Self {
+        PositionalCounter {
+            bytes: vec![0; 8 * positions.div_ceil(64)],
+            totals: vec![0; positions],
+            rows: 0,
+        }
+    }
+
+    /// Number of rows added.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Adds one row's `+1` bits.
+    ///
+    /// # Panics
+    /// Panics if `row` is not `⌈positions / 64⌉` words long.
+    #[inline]
+    pub fn add(&mut self, row: &[u64]) {
+        assert_eq!(
+            row.len() * 8,
+            self.bytes.len(),
+            "one row word per 64 positions"
+        );
+        const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+        for (acc, &w) in self.bytes.chunks_exact_mut(8).zip(row) {
+            for (s, a) in acc.iter_mut().enumerate() {
+                *a += (w >> s) & LOW_BITS;
+            }
+        }
+        self.rows += 1;
+        if self.rows % Self::FLUSH_ROWS == 0 {
+            self.flush();
+        }
+    }
+
+    /// The `+1` count of every position, over every row added.
+    pub fn into_totals(mut self) -> Vec<u64> {
+        self.flush();
+        self.totals
+    }
+
+    /// Moves the byte counters into the totals and zeroes them.
+    fn flush(&mut self) {
+        let positions = self.totals.len();
+        for (i, acc) in self.bytes.iter_mut().enumerate() {
+            // Word `i` counts shift `s` of row word `i / 8`: its byte `b`
+            // is position `64·(i / 8) + 8b + s`.
+            let base = 64 * (i / 8) + i % 8;
+            for b in 0..8 {
+                let pos = base + 8 * b;
+                if pos < positions {
+                    self.totals[pos] += (*acc >> (8 * b)) & 0xff;
+                }
+            }
+            *acc = 0;
+        }
+    }
+}
+
 /// One period's reports for one shard of users, struct-of-arrays with a
 /// bit-packed sign lane ([`SignLane`]): a fold consumes 64 reports per
 /// word op instead of one per byte.

@@ -42,7 +42,7 @@ pub mod ingest;
 pub mod mode;
 pub mod pool;
 
-pub use batch::{Frame, FrameBatch, ReportBatch, SignLane};
+pub use batch::{Frame, FrameBatch, PositionalCounter, ReportBatch, SignLane};
 pub use ingest::{
     replay_frames_checked, snapshot_dir_from_env, IngestService, IngestStats, LiveConfig,
     PeriodClose, ServiceRestart, SnapshotFileError, WorkerKill,

@@ -1,7 +1,7 @@
 //! Property tests for the bit-packed report lanes.
 //!
 //! The packed hot path (SignLane word ops, run-detected `fold_into`,
-//! `extend_packed` bulk appends) must be observation-for-observation
+//! `extend_packed` bulk appends, the positional counter) must be observation-for-observation
 //! identical to the scalar reference — these
 //! properties pin that equivalence over adversarial row patterns,
 //! including ranges that straddle 64-bit word boundaries.
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rtf_core::accumulator::{Accumulator, DenseAccumulator};
 use rtf_primitives::sign::Sign;
-use rtf_runtime::{ReportBatch, SignLane};
+use rtf_runtime::{PositionalCounter, ReportBatch, SignLane};
 
 fn sign(plus: bool) -> Sign {
     if plus {
@@ -97,5 +97,46 @@ proptest! {
         let bulk_rows: Vec<(u32, u8, Sign)> = bulk.iter().collect();
         let scalar_rows: Vec<(u32, u8, Sign)> = scalar.iter().collect();
         prop_assert_eq!(bulk_rows, scalar_rows);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The positional counter ≡ a per-bit sum: over 0..=1100 rows (four
+    /// 255-row flushes), one to four words per row with 1..=64 valid
+    /// bits in the last, and rows mixing random, all-ones (every byte
+    /// counter climbing by one per row, the overflow worst case) and
+    /// all-zero words, every position's total equals the naive count of
+    /// rows with that bit set. Bits past the valid ones never leak in.
+    #[test]
+    fn positional_counter_matches_per_bit_sums(
+        rows in 0usize..=1100,
+        words in 1usize..=4,
+        tail_bits in 1usize..=64,
+        mix in 0u8..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+
+        let positions = 64 * (words - 1) + tail_bits;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut counter = PositionalCounter::new(positions);
+        let mut naive = vec![0u64; positions];
+        for _ in 0..rows {
+            let row: Vec<u64> = (0..words)
+                .map(|_| match (mix, rng.random_range(0u8..4)) {
+                    (0, _) | (3, 0) => u64::MAX,
+                    (1, _) | (3, 1) => 0,
+                    _ => rng.random::<u64>(),
+                })
+                .collect();
+            for (pos, total) in naive.iter_mut().enumerate() {
+                *total += (row[pos / 64] >> (pos % 64)) & 1;
+            }
+            counter.add(&row);
+        }
+        prop_assert_eq!(counter.rows(), rows);
+        prop_assert_eq!(counter.into_totals(), naive);
     }
 }

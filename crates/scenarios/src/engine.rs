@@ -19,10 +19,11 @@
 //!    differential oracle in [`crate::oracle`]).
 //! 3. **Worker count is invisible.** Under [`ExecMode::Parallel`] the
 //!    emission side runs on contiguous user shards through the
-//!    **span-native fault layer**: a shard's clients are the event
-//!    engine's order groups ([`rtf_sim::engine::build_order_groups`] —
-//!    the one client-construction path), each client's private fault
-//!    stream is pre-walked once to classify every reporting boundary
+//!    **span-native fault layer**: a shard's clients are span-major
+//!    order groups ([`rtf_sim::engine::build_order_groups`], which
+//!    opens and draws each client exactly as the event engine does),
+//!    each client's private fault stream is pre-walked once to
+//!    classify every reporting boundary
 //!    (consuming the identical draws in the identical order, proven by
 //!    the residual-digest oracle), honest on-time spans are folded
 //!    arithmetically as whole packed sign words, and only the faulted

@@ -15,13 +15,12 @@
 //!   mailbox, decoded and ingested, so the accounting reflects real
 //!   framing. `O(n·d)` with a per-report allocation; this is the oracle.
 //! * **Parallel(w)** — the batched pipeline: users are partitioned into
-//!   `w` contiguous shards, each worker runs its shard's client state
-//!   machines locally, appending reports to columnar
-//!   [`ReportBatch`](rtf_runtime::ReportBatch)es (no per-report
-//!   allocation) folded into a
-//!   mergeable shard accumulator per period; the server absorbs shard
-//!   accumulators in shard-index order. Because per-user randomness
-//!   derives from `SeedSequence(seed).child(user)` and report sums are
+//!   `w` contiguous shards, and each worker folds its shard's whole
+//!   horizon user by user ([`fold_shard_horizon`]) into per-order,
+//!   per-span `+1` totals, then into a mergeable shard accumulator per
+//!   period; the server absorbs shard accumulators in shard-index order.
+//!   Because per-user randomness derives from
+//!   `SeedSequence(seed).child(user)` and report sums are
 //!   integer-valued, the result is **value-for-value identical** to
 //!   Sequential for every worker count (asserted by the differential
 //!   oracle in `rtf-scenarios`).
@@ -31,16 +30,17 @@
 //! through the parallel pipeline by exporting one variable.
 
 use crate::message::{OrderAnnouncement, ReportMsg, WireStats};
+use rand::rngs::StdRng;
 use rtf_core::accumulator::{Accumulator, AccumulatorKind, DenseAccumulator};
 use rtf_core::client::Client;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
-use rtf_core::randomizer::{FutureRand, SpanRandomizers};
+use rtf_core::randomizer::{fill_sequence_words, FutureRand, SpanRandomizers};
 use rtf_core::server::Server;
 use rtf_primitives::fastseed::{self, SeedSchema};
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::{Sign, Ternary};
-use rtf_runtime::{ExecMode, SignLane, WorkerPool};
+use rtf_runtime::{ExecMode, PositionalCounter, SignLane, WorkerPool};
 use rtf_streams::population::Population;
 
 /// Result of an event-driven execution: estimates plus exact
@@ -97,9 +97,9 @@ pub fn run_event_driven_with(
 
 /// [`run_event_driven_with`] under an explicit client randomness schema
 /// (instead of `RTF_SEED_SCHEMA`). Under [`SeedSchema::V2Fast`] the
-/// batched pipeline emits whole span words straight from the
-/// counter-based generator into the packed report lanes — no per-report
-/// `Sign` materialisation — and stays value-for-value identical to the
+/// batched pipeline writes each client's zero reports as whole words
+/// straight from the counter-based generator — no per-report `Sign`
+/// and no RNG draw — and stays value-for-value identical to the
 /// sequential schedule run under the same schema. The layout argument
 /// names the only layout, [`AccumulatorKind::Dense`].
 pub fn run_event_driven_schema(
@@ -127,7 +127,8 @@ pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer
         .collect()
 }
 
-/// One order group's client state in the batched/streaming pipelines,
+/// One order group's client state in the span-major pipelines (the live
+/// streaming driver and the span-native scenario engine),
 /// struct-of-arrays: parallel lanes of user ids, RNG streams (v1 schema
 /// only), a precomputed span-event schedule, and one shared
 /// [`SpanRandomizers`] arena.
@@ -142,8 +143,11 @@ pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer
 ///
 /// Public because the span-native scenario engine
 /// (`rtf_scenarios::engine`) drives the same groups through its fault
-/// layer — client construction and span emission must live in exactly
-/// one place for the engines' bit-identity proofs to mean anything.
+/// layer, masking faulted lanes out of each span — client construction
+/// and span emission must live in exactly one place for the engines'
+/// bit-identity proofs to mean anything. The offline batched engine
+/// needs only per-span totals and folds user by user instead
+/// ([`fold_shard_horizon`]).
 pub struct SpanGroup {
     /// User ids in lane order.
     pub users: Vec<u32>,
@@ -155,7 +159,7 @@ pub struct SpanGroup {
     /// source of the v1 schema's zero-report signs. Empty under
     /// [`SeedSchema::V2Fast`], whose zero reports come from the counter
     /// generator and never read an RNG.
-    rngs: Vec<rand::rngs::StdRng>,
+    rngs: Vec<StdRng>,
     /// The group's non-zero span sums, precomputed at build: entry
     /// `span_events[t / stride − 1]` lists `(lane, ±1)` for exactly the
     /// lanes whose partial sum over the span ending at `t` is non-zero.
@@ -230,16 +234,81 @@ impl SpanGroup {
     }
 }
 
-/// Builds one user range's clients grouped by announced order — at
-/// period `t` only orders dividing `t` report, so the round loop walks
-/// exactly the reporting clients: `O(reports + changes)` per shard
-/// instead of `O(users · periods)`.
+/// Client `u`'s seed stream, opened exactly as the sequential reference
+/// opens it: the node's RNG positioned just past the order draw (the
+/// stream's first draw), plus the client's fast key. The `b̃ = R̃(1^k)`
+/// draws come next, from the order's composed randomizer; under v1 the
+/// zero-report signs follow them on the same stream.
 ///
-/// This is the **one** client-construction path of the batched engine,
-/// the live streaming driver ([`crate::live`]), and the span-native
-/// scenario engine (`rtf_scenarios::engine`) — they must consume
-/// per-user RNG identically for the batched ≡ streaming ≡ sequential
-/// proofs to hold, so the construction lives in exactly one place.
+/// The sequential reference, [`build_order_groups`] and
+/// [`fold_shard_horizon`] all open their clients here, so they consume
+/// per-user randomness identically and the batched ≡ streaming ≡
+/// sequential proofs hold.
+struct ClientStream {
+    order: u32,
+    rng: StdRng,
+    fast_key: u64,
+}
+
+impl ClientStream {
+    fn open(params: &ProtocolParams, root: &SeedSequence, u: usize) -> Self {
+        let node = root.child(u as u64);
+        let mut rng = node.rng();
+        let order = Client::<FutureRand>::sample_order(params, &mut rng);
+        ClientStream {
+            order,
+            rng,
+            fast_key: fastseed::client_key(&node),
+        }
+    }
+}
+
+/// One client's non-zero span sums at reporting stride `stride`, in
+/// ascending span order: `(j, ±1)` for each span `j` — the periods
+/// `j·stride + 1 ..= (j + 1)·stride` — whose partial sum is non-zero.
+///
+/// A span's sum is the parity flip of the change count across it
+/// (`st(end) − st(start − 1)`, each the parity of its prefix), so one
+/// pass over the sorted change times gives exactly what
+/// `DerivativeCursor::sum_to` returns at every span boundary, without
+/// visiting the ~90% of spans whose sum is zero.
+fn nonzero_spans(
+    changes: &[u64],
+    d: u64,
+    stride: u64,
+) -> impl Iterator<Item = (usize, Ternary)> + '_ {
+    let mut rest = changes;
+    let mut parity = false;
+    std::iter::from_fn(move || {
+        while let Some(&first) = rest.first().filter(|&&c| c <= d) {
+            let span_end = first.div_ceil(stride) * stride;
+            let count = rest.iter().take_while(|&&c| c <= span_end).count();
+            rest = &rest[count..];
+            let before = parity;
+            parity ^= count % 2 == 1;
+            let span = (span_end / stride - 1) as usize;
+            match (before, parity) {
+                (false, true) => return Some((span, Ternary::Plus)),
+                (true, false) => return Some((span, Ternary::Minus)),
+                _ => {}
+            }
+        }
+        None
+    })
+}
+
+/// Builds one user range's clients grouped by announced order, as
+/// span-major [`SpanGroup`]s — at period `t` only orders dividing `t`
+/// report, so a round loop walks exactly the reporting clients.
+///
+/// Its callers are the ones that need every span's per-lane report
+/// bits: the live streaming driver ([`crate::live`]), which streams
+/// each span as a report batch, and the span-native scenario engine
+/// (`rtf_scenarios::engine`), which masks faulted lanes out of each
+/// span. The offline batched engine needs only per-span totals and
+/// folds user by user instead ([`fold_shard_horizon`]). Both paths open
+/// their clients through the same helper and draw `b̃` from the same
+/// composed randomizer, so they consume per-user randomness identically.
 ///
 /// Construction is allocation-free per user: a first pass over the
 /// users' order draws sizes every group's columns exactly, then each
@@ -263,8 +332,7 @@ pub fn build_order_groups(
     // stream) sizes every group, so each column is allocated once.
     let mut sizes = vec![0usize; orders];
     for u in users.clone() {
-        let mut rng = root.child(u as u64).rng();
-        sizes[Client::<FutureRand>::sample_order(params, &mut rng) as usize] += 1;
+        sizes[ClientStream::open(params, root, u).order as usize] += 1;
     }
     let mut groups: Vec<SpanGroup> = sizes
         .iter()
@@ -289,52 +357,100 @@ pub fn build_order_groups(
         })
         .collect();
     // Pass 2: replay each stream from the top — the order draw again,
-    // then `b̃` drawn in place into the group's arena, exactly the draws
-    // `FutureRand::init_with_schema` makes.
+    // then `b̃` drawn in place into the group's arena.
     for u in users {
-        let node = root.child(u as u64);
-        let mut rng = node.rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        let group = &mut groups[h as usize];
+        let mut client = ClientStream::open(params, root, u);
+        let h = client.order as usize;
+        let group = &mut groups[h];
         let lane = group.users.len() as u32;
         group.users.push(u as u32);
         group
             .spans
-            .push_fresh_lane(&composed[h as usize], &mut rng, fastseed::client_key(&node));
+            .push_fresh_lane(&composed[h], &mut client.rng, client.fast_key);
         if !schema.is_fast() {
-            group.rngs.push(rng);
+            group.rngs.push(client.rng);
         }
-        // One pass over the user's (sorted) change times builds the
-        // lane's non-zero span sums: a span's sum is the parity flip of
-        // the change count across it (`st(end) − st(start − 1)`, each
-        // the parity of its prefix) — exactly `DerivativeCursor::sum_to`
-        // called at every span boundary, computed once instead of once
-        // per period.
-        let stride = group.stride;
-        let stream = population.stream(u);
-        let changes = stream.change_times();
-        let mut i = 0usize;
-        let mut parity_before = false;
-        while i < changes.len() && changes[i] <= d {
-            let span_end = changes[i].div_ceil(stride) * stride;
-            let mut count = 0u64;
-            while i < changes.len() && changes[i] <= span_end {
-                i += 1;
-                count += 1;
-            }
-            let parity_after = parity_before ^ (count % 2 == 1);
-            let v = match (parity_before, parity_after) {
-                (false, true) => Some(Ternary::Plus),
-                (true, false) => Some(Ternary::Minus),
-                _ => None,
-            };
-            if let Some(v) = v {
-                group.span_events[(span_end / stride - 1) as usize].push((lane, v));
-            }
-            parity_before = parity_after;
+        for (j, v) in nonzero_spans(population.stream(u).change_times(), d, group.stride) {
+            group.span_events[j].push((lane, v));
         }
     }
     groups
+}
+
+/// One shard's whole horizon, folded to per-span report totals by
+/// [`fold_shard_horizon`].
+#[derive(Debug, Clone)]
+pub struct HorizonFold {
+    /// Per-order group sizes: how many of the shard's users announced
+    /// each order `h`.
+    pub group_sizes: Vec<usize>,
+    /// `plus[h][j]`: how many of order `h`'s users reported `+1` for
+    /// span `j`, the order-`h` interval ending at period
+    /// `t = (j + 1)·2^h`. The other `group_sizes[h] − plus[h][j]`
+    /// reported `−1`.
+    pub plus: Vec<Vec<u64>>,
+}
+
+/// The offline batched engine's per-shard kernel: folds the whole
+/// horizon of `users` into per-order, per-span `+1` counts, user by
+/// user.
+///
+/// FutureRand draws `b̃` at initialisation, and a zero partial sum's
+/// report depends only on the client's stream (v1) or key and report
+/// index (v2), so a client's whole report sequence is fixed once its
+/// `b̃` and change times are known. For each user, in id order, the
+/// kernel makes the construction draws of the sequential reference, in
+/// its order (the order draw, then `b̃` into a reused scratch slice, as
+/// [`build_order_groups`] makes them), writes the user's `d / 2^h`
+/// reports as packed words ([`fill_sequence_words`]) and adds them into
+/// its order's [`PositionalCounter`]. No per-span state is kept, so the
+/// cost per user is its draws plus `⌈d / 2^h / 64⌉` words, and the
+/// totals equal a span-by-span popcount of the same reports exactly.
+pub fn fold_shard_horizon(
+    params: &ProtocolParams,
+    population: &Population,
+    composed: &[ComposedRandomizer],
+    root: &SeedSequence,
+    users: std::ops::Range<usize>,
+    schema: SeedSchema,
+) -> HorizonFold {
+    let d = params.d();
+    let mut counters: Vec<PositionalCounter> = (0..params.num_orders())
+        .map(|h| PositionalCounter::new(params.sequence_len(h)))
+        .collect();
+    let max_k = composed
+        .iter()
+        .map(ComposedRandomizer::k)
+        .max()
+        .unwrap_or(0);
+    let mut b_tilde = vec![Sign::Plus; max_k];
+    let mut words = vec![0u64; params.sequence_len(0).div_ceil(64)];
+    for u in users {
+        let mut client = ClientStream::open(params, root, u);
+        let h = client.order;
+        let l = params.sequence_len(h);
+        let m = &composed[h as usize];
+        let b_tilde = &mut b_tilde[..m.k()];
+        m.sample_for_all_ones_into(b_tilde, &mut client.rng);
+        let row = &mut words[..l.div_ceil(64)];
+        fill_sequence_words(
+            l,
+            b_tilde,
+            nonzero_spans(population.stream(u).change_times(), d, 1u64 << h),
+            schema,
+            client.fast_key,
+            &mut client.rng,
+            row,
+        );
+        counters[h as usize].add(row);
+    }
+    HorizonFold {
+        group_sizes: counters.iter().map(PositionalCounter::rows).collect(),
+        plus: counters
+            .into_iter()
+            .map(PositionalCounter::into_totals)
+            .collect(),
+    }
 }
 
 /// The single-threaded reference schedule with real (serialised) framing.
@@ -350,11 +466,13 @@ fn run_sequential(
     let root = SeedSequence::new(seed);
 
     // Build clients; send order announcements through the wire.
-    let mut clients: Vec<(Client<FutureRand>, rand::rngs::StdRng)> = Vec::with_capacity(params.n());
+    let mut clients: Vec<(Client<FutureRand>, StdRng)> = Vec::with_capacity(params.n());
     for u in 0..params.n() {
-        let node = root.child(u as u64);
-        let mut rng = node.rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
+        let ClientStream {
+            order: h,
+            mut rng,
+            fast_key,
+        } = ClientStream::open(params, &root, u);
         let ann = OrderAnnouncement {
             user: u as u32,
             order: h as u8,
@@ -367,7 +485,7 @@ fn run_sequential(
             &composed[h as usize],
             &mut rng,
             schema,
-            fastseed::client_key(&node),
+            fast_key,
         );
         clients.push((Client::new(params, h, m), rng));
     }
@@ -421,8 +539,9 @@ struct ShardRun {
     acc_bytes: u64,
 }
 
-/// The batched multi-worker pipeline: contiguous user shards, columnar
-/// report batches, shard accumulators merged in shard-index order.
+/// The batched multi-worker pipeline: contiguous user shards, each
+/// folded user-major ([`fold_shard_horizon`]) into per-period shard
+/// accumulators, merged in shard-index order.
 fn run_batched(
     params: &ProtocolParams,
     population: &Population,
@@ -441,10 +560,11 @@ fn run_batched(
         for _ in shard.range() {
             wire.record_announcement();
         }
-        let mut groups =
-            build_order_groups(params, population, &composed, &root, shard.range(), schema);
-        let group_sizes: Vec<usize> = groups.iter().map(SpanGroup::len).collect();
+        let fold = fold_shard_horizon(params, population, &composed, &root, shard.range(), schema);
 
+        // One `record_counts` per reporting order and period, ascending
+        // — exactly what folding each period's report batch would hand
+        // the accumulator, and the sums are exact, so they are identical.
         let mut per_period: Vec<DenseAccumulator> =
             (0..d).map(|_| DenseAccumulator::new(orders)).collect();
         for t in 1..=d {
@@ -452,23 +572,11 @@ fn run_batched(
             let max_h = t.trailing_zeros().min(params.log_d());
             let mut rows = 0u64;
             for h in 0..=max_h {
-                let group = &mut groups[h as usize];
-                if group.is_empty() {
+                let len = fold.group_sizes[h as usize] as u64;
+                if len == 0 {
                     continue;
                 }
-                // The whole order-h interval ending at t, one columnar
-                // pass: partial sums off the span-event schedule, one
-                // randomizer sweep, then a masked-popcount fold of the
-                // packed span
-                // straight into the accumulator. A group span is one
-                // constant-order run by construction, so there is no
-                // batch to materialise and re-scan: the per-order totals
-                // are exactly what `ReportBatch::fold_into` would hand
-                // over (one `record_counts` per order, ascending), and
-                // the sums are exact, so they are identical.
-                group.emit_span(t);
-                let len = group.len() as u64;
-                let plus = group.signs.count_plus(0..group.len());
+                let plus = fold.plus[h as usize][((t >> h) - 1) as usize];
                 acc.record_counts(h, plus, len - plus);
                 rows += len;
             }
@@ -478,7 +586,7 @@ fn run_batched(
         let acc_bytes: u64 = per_period.iter().map(|a| a.heap_bytes() as u64).sum();
         ShardRun {
             per_period,
-            group_sizes,
+            group_sizes: fold.group_sizes,
             wire,
             acc_bytes,
         }
@@ -680,6 +788,36 @@ mod tests {
             run(SeedSchema::V2Fast),
         );
         assert_eq!(got, (POPULATION, V1_STD, V2_FAST), "{got:#018x?}");
+    }
+
+    #[test]
+    fn multi_word_horizons_are_pinned_by_golden_digests() {
+        // At d = 1024 the order-0 report sequence spans 16 counter words
+        // and the shard groups of 3 001 users are multiples of neither 64
+        // nor 255, so every word and flush boundary of the batched fold
+        // is crossed. The digest covers estimate bits, group sizes and
+        // wire accounting, identical at every worker count.
+        const V1_STD: u64 = 0x16cb_195f_74f8_df42;
+        const V2_FAST: u64 = 0xf42c_4023_bb36_f701;
+        let (params, pop) = setup(3_001, 1024, 4, 9);
+        for (schema, expect) in [(SeedSchema::V1Std, V1_STD), (SeedSchema::V2Fast, V2_FAST)] {
+            for w in [1usize, 2, 3] {
+                let ev = run_event_driven_schema(
+                    &params,
+                    &pop,
+                    13,
+                    ExecMode::Parallel(w),
+                    AccumulatorKind::Dense,
+                    schema,
+                );
+                let mut bytes = outcome_digest(&ev).to_le_bytes().to_vec();
+                for x in [ev.wire.messages, ev.wire.wire_bytes, ev.wire.payload_bits] {
+                    bytes.extend_from_slice(&x.to_le_bytes());
+                }
+                let got = rtf_core::snapshot::fnv1a64(&bytes);
+                assert_eq!(got, expect, "{schema:?} parallel({w}): {got:#018x}");
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   observes its own new datum, emits any due report, and the server
 //!   closes the period. Runs either **sequentially** with real serialised
 //!   framing (the reference oracle) or through the **batched
-//!   multi-worker pipeline** of `rtf-runtime` (columnar report batches,
-//!   shard accumulators merged in shard-index order) — value-for-value
-//!   identical for any worker count; `RTF_WORKERS` selects the default;
+//!   multi-worker pipeline** (each shard's horizon folded user by user
+//!   into per-span totals, shard accumulators merged in shard-index
+//!   order) — value-for-value identical for any worker count;
+//!   `RTF_WORKERS` selects the default;
 //! * [`aggregate`] — a distribution-identical `O(n·(k + d/2^h))`
 //!   aggregate sampler for the FutureRand protocol (zero partial sums
 //!   contribute an exact `Binomial(m, ½)` of uniform bits; non-zero ones
@@ -42,7 +43,8 @@ pub mod runner;
 
 pub use aggregate::{run_calibrated_aggregate, run_future_rand_aggregate};
 pub use engine::{
-    build_order_groups, run_event_driven, run_event_driven_with, EventDrivenOutcome, SpanGroup,
+    build_order_groups, fold_shard_horizon, run_event_driven, run_event_driven_with,
+    EventDrivenOutcome, HorizonFold, SpanGroup,
 };
 pub use live::{run_event_driven_live, run_event_driven_live_with};
 pub use message::{OrderAnnouncement, ReportMsg, WireStats};
