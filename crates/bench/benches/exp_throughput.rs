@@ -20,8 +20,8 @@
 //! seeds — see README's seed schema versioning policy); each schema
 //! differences against its own sequential baseline, and every JSON row
 //! carries a `seed_schema` field so the perf gate keys them apart. The
-//! scenario engine rides the same span-native fast path as the event
-//! engine now, so the v2 schema matters there too.
+//! scenario engine runs the same user-major client kernel as the event
+//! engine, so the v2 schema matters there too.
 //!
 //! Every scenario row — sequential included — decomposes into per-stage
 //! wall clock (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, via
@@ -348,9 +348,8 @@ fn main() {
         }
 
         // The fault-injected engine under both seed schemas: its batched
-        // path now rides the same span-native packed-word emission as the
-        // event engine, so the v2 counter-based randomness shows up here
-        // too. Every row (sequential included) carries the per-stage
+        // path runs the same user-major packed-word kernel as the event
+        // engine, so the v2 counter-based randomness shows up here too. Every row (sequential included) carries the per-stage
         // decomposition.
         for schema in SCHEMAS {
             let (seq, baseline) = measure(

@@ -362,7 +362,7 @@ impl Server {
     /// [`ingest_checked`](Self::ingest_checked) with an externally-known
     /// *acceptance floor*: the caller asserts that `user` already had a
     /// report accepted for boundary `floor` (`0` = no such claim) even
-    /// though this server never saw the acceptance — the span-native
+    /// though this server never saw the acceptance — the batched
     /// scenario engine folds honest constant-order runs arithmetically
     /// ([`ingest_span_run`](Self::ingest_span_run)) without touching the
     /// roster, so the dedupe state of folded acceptances lives with the
@@ -418,7 +418,7 @@ impl Server {
     }
 
     /// Ingests a whole run of `count` *accepted* on-time reports of order
-    /// `h`, of which `plus` carried `+1` — the span-native scenario
+    /// `h`, of which `plus` carried `+1` — the batched scenario
     /// engine's arithmetic replacement for `count` individual
     /// [`ingest_checked`](Self::ingest_checked) acceptances of one
     /// group's span. Report sums are integer-valued, so the accumulator

@@ -157,27 +157,6 @@ impl SignLane {
         total
     }
 
-    /// Counts the `+1` signs among the lanes selected by `mask` (bit `i`
-    /// of `mask[i / 64]` selects sign `i`) — one masked popcount per
-    /// word, the span-native scenario fold's inner loop. The mask must
-    /// have exactly one word per lane word; bits past `len` are ignored
-    /// because the lane keeps its tail bits zero.
-    ///
-    /// # Panics
-    /// Panics if `mask` does not span the lane word-for-word.
-    pub fn count_plus_masked(&self, mask: &[u64]) -> u64 {
-        assert_eq!(
-            mask.len(),
-            self.words.len(),
-            "mask must cover the lane word-for-word"
-        );
-        self.words
-            .iter()
-            .zip(mask)
-            .map(|(&w, &m)| u64::from((w & m).count_ones()))
-            .sum()
-    }
-
     /// Iterates the signs in lane order.
     pub fn iter(&self) -> impl Iterator<Item = Sign> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -774,27 +753,6 @@ mod tests {
         let mut acc = DenseAccumulator::new(4);
         empty.fold_into(&mut acc);
         assert_eq!(acc.reports(), 0);
-    }
-
-    #[test]
-    fn masked_count_matches_per_index_filter() {
-        // 150 lanes across three words, an irregular mask: the masked
-        // popcount must equal filtering get() by the mask bit by bit.
-        let mut lane = SignLane::new();
-        for i in 0..150usize {
-            lane.push(if i % 3 == 0 { Sign::Plus } else { Sign::Minus });
-        }
-        let mask: Vec<u64> = vec![0xDEAD_BEEF_0F0F_3355, u64::MAX, low_mask(150 % 64)];
-        let expect: u64 = (0..150)
-            .filter(|&i| (mask[i / 64] >> (i % 64)) & 1 == 1 && lane.get(i) == Sign::Plus)
-            .count() as u64;
-        assert_eq!(lane.count_plus_masked(&mask), expect);
-        // Full mask degenerates to count_plus; empty lane takes an empty mask.
-        assert_eq!(
-            lane.count_plus_masked(&[u64::MAX, u64::MAX, u64::MAX]),
-            lane.count_plus(0..150)
-        );
-        assert_eq!(SignLane::new().count_plus_masked(&[]), 0);
     }
 
     #[test]

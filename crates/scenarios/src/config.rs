@@ -8,9 +8,9 @@
 //! `rtf_sim::engine::run_event_driven`.
 //!
 //! The rates also decide how much of a batched run stays on the
-//! span-native fast path (`rtf_scenarios::engine`): a client/boundary
-//! pair whose report is delivered on time, exactly once, stays inside
-//! the packed sign-word fold; any knob that perturbs that pair —
+//! fast path (`rtf_scenarios::engine`): a client/boundary pair whose
+//! report is delivered on time, exactly once, stays inside the packed
+//! sign-word fold; any knob that perturbs that pair —
 //! `drop_prob`, `straggle_prob`, `duplicate_prob`, `malformed_prob` per
 //! report, `churn_prob` from the departure period onward, and
 //! `byzantine_frac` for the whole client — routes just that residue
@@ -207,7 +207,7 @@ impl DelayLaw {
 /// A timeline is either **constant** (one [`Scenario`] for the whole
 /// horizon — exactly the pre-DSL engine, draw for draw) or **shaped**
 /// (one effective [`Scenario`] row per period `t ∈ 1..=d`). All three
-/// execution engines (sequential, span-native batched, live streaming)
+/// execution engines (sequential, user-major batched, live streaming)
 /// take the same timeline and consult it at the same `(user, period)`
 /// points, so the differential oracle's value-identity guarantee carries
 /// over unchanged.

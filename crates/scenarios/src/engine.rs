@@ -18,23 +18,25 @@
 //!    value-for-value equal to `run_event_driven` (asserted by the
 //!    differential oracle in [`crate::oracle`]).
 //! 3. **Worker count is invisible.** Under [`ExecMode::Parallel`] the
-//!    emission side runs on contiguous user shards through the
-//!    **span-native fault layer**: a shard's clients are span-major
-//!    order groups ([`rtf_sim::engine::build_order_groups`], which
-//!    opens and draws each client exactly as the event engine does),
-//!    each client's private fault stream is pre-walked once to
-//!    classify every reporting boundary
-//!    (consuming the identical draws in the identical order, proven by
-//!    the residual-digest oracle), honest on-time spans are folded
-//!    arithmetically as whole packed sign words, and only the faulted
-//!    residue is materialised as provenance-tagged frames. Per delivery
-//!    period, shard residue batches are merged back into exactly the
-//!    sequential mailbox order — ascending `(emission period, emitting
-//!    user)` — and replayed through the floor-checked ingestion ladder
+//!    emission side runs on contiguous user shards, **one pass per
+//!    client** in id order: the client's whole report sequence is written
+//!    as packed words ([`rtf_sim::engine::SequenceWriter`], which opens
+//!    and draws each client exactly as the event engine does), then its
+//!    private fault stream is walked once, whole horizon, making the
+//!    sequential engine's draws in its order (proven by the
+//!    residual-digest oracle). The walk yields the client's on-time span
+//!    mask; the masked reports are folded into per-span totals by
+//!    positional popcount, and only the faulted residue is materialised
+//!    as provenance-tagged frames, read straight from the report row.
+//!    Each shard buckets its residue by delivery period and lag, so a
+//!    period's mailbox in exactly the sequential order — ascending
+//!    `(emission period, emitting user)` — is the buckets concatenated,
+//!    deepest lag first, shards in index order. It is replayed through
+//!    the floor-checked ingestion ladder
 //!    ([`Server::ingest_checked_with_floor`]), whose verdicts are
 //!    bit-for-bit the sequential classification: an accepted Byzantine
 //!    impersonation still displaces the honest report it races (the
-//!    displaced lane is subtracted from its span's fold and recorded as
+//!    displaced report is subtracted from its span's fold and recorded as
 //!    the duplicate it would have been). Every outcome field is
 //!    identical for any worker count.
 
@@ -43,15 +45,14 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::client::Client;
-use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
 use rtf_core::randomizer::FutureRand;
 use rtf_core::server::{Delivery, PeriodDelivery, Server};
 use rtf_primitives::fastseed::{self, SeedSchema};
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
-use rtf_runtime::{shard_of, ExecMode, Frame, FrameBatch, SignLane, WorkerPool};
-use rtf_sim::engine::build_order_groups;
+use rtf_runtime::{shard_of, ExecMode, Frame, PositionalCounter, WorkerPool};
+use rtf_sim::engine::{composed_tables, SequenceWriter};
 use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
 use rtf_streams::population::Population;
 
@@ -279,10 +280,7 @@ pub fn run_scenario_timeline_digest(
     mode: ExecMode,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, u64) {
-    timeline.validate(params.d());
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
+    check_inputs(params, population, timeline);
     match mode {
         ExecMode::Sequential => {
             let (out, _, digest) =
@@ -297,10 +295,20 @@ pub fn run_scenario_timeline_digest(
     }
 }
 
-pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer> {
-    (0..params.num_orders())
-        .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
-        .collect()
+/// The entry points' shared input check (the live runner's too).
+///
+/// # Panics
+/// Panics if the timeline is invalid for the horizon, or the population
+/// disagrees with `params` on `n`, `d` or the sparsity bound `k`.
+pub(crate) fn check_inputs(
+    params: &ProtocolParams,
+    population: &Population,
+    timeline: &FaultTimeline,
+) {
+    timeline.validate(params.d());
+    assert_eq!(population.n(), params.n(), "population/params n mismatch");
+    assert_eq!(population.d(), params.d(), "population/params d mismatch");
+    population.assert_k_sparse(params.k());
 }
 
 fn run_scenario_sequential_impl(
@@ -472,8 +480,8 @@ fn run_scenario_sequential_impl(
 /// between emission (client state machines + fault layer — the whole
 /// shard fan-out in batched mode, client build + per-period emission in
 /// sequential mode), the per-period mailbox reconstruction
-/// (`FrameBatch::merge_ordered`; identically zero in sequential mode),
-/// and checked ingestion + period close.
+/// (concatenating the shards' residue buckets; identically zero in
+/// sequential mode), and checked ingestion + period close.
 ///
 /// Exists to make cross-mode and cross-worker-count comparisons
 /// diagnosable — a slower parallel(2) than parallel(1) at large `n` is a
@@ -504,10 +512,7 @@ pub fn run_scenario_batched_timed(
     schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
     let timeline = FaultTimeline::constant(*scenario);
-    timeline.validate(params.d());
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
+    check_inputs(params, population, &timeline);
     let (out, timings, _) =
         run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), schema);
     (out, timings)
@@ -525,50 +530,45 @@ pub fn run_scenario_sequential_timed(
     schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
     let timeline = FaultTimeline::constant(*scenario);
-    timeline.validate(params.d());
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
+    check_inputs(params, population, &timeline);
     let (out, timings, _) =
         run_scenario_sequential_impl(params, population, seed, &timeline, schema);
     (out, timings)
 }
 
-/// One worker's span-native emission result for a contiguous user shard.
-///
-/// The expensive product is *arithmetic*, not frames: per `(order, span)`
-/// the popcount fold of every honest on-time lane, plus packed plan/sign
-/// lanes the ingestion side consults to reproduce the sequential
-/// classification of the faulted residue. Only faulted deliveries (late
-/// originals, retransmitted copies, Byzantine fabrications) are
-/// materialised as frames.
+/// One worker's emission result for a contiguous user shard, written
+/// user by user: per `(order, span)` the fold of every honest on-time
+/// report, each user's report and on-time rows (which the ingestion side
+/// consults to reproduce the sequential classification of the residue),
+/// and frames for the faulted deliveries only.
 struct ShardEmission {
     /// First global user id of the shard.
     start: usize,
     /// Announced order per shard user, ascending user id.
     orders: Vec<u8>,
-    /// Lane index within the user's order group, ascending user id.
+    /// Lane (row index) within the user's order group, ascending user id.
     lanes: Vec<u32>,
-    /// Per order `h`: number of shard users announcing order `h`.
-    group_len: Vec<usize>,
-    /// Per order `h`, per span `s`: `(plus, count)` of the honest
-    /// on-time lanes folded arithmetically for that span.
-    folds: Vec<Vec<(u64, u64)>>,
-    /// Per order `h`: every lane's report bit for every span, span-major
-    /// (`s * group_len[h] + lane`) — consulted when an accepted Byzantine
-    /// impersonation displaces a folded honest report.
-    horizon_signs: Vec<SignLane>,
-    /// Per order `h`: whether each `(span, lane)` report was folded on
-    /// time (`Plus` = folded), span-major. [`planned_floor`] derives each
-    /// residue frame's dedupe floor from these bits.
-    plan: Vec<SignLane>,
-    /// `pending[t]` = residue frames the network delivers during period
-    /// `t`. Append order mixes the pre-walk (Byzantine fabrications) and
-    /// the span walk (honest late/duplicate copies), so batches are not
-    /// presorted — `FrameBatch::merge_ordered` restores exact mailbox
-    /// order from the `(emission period, emitter)` keys, which are unique
-    /// per delivery period.
-    pending: Vec<FrameBatch>,
+    /// Per order `h`: every lane's whole report sequence, user-major —
+    /// row `lane` is `⌈d / 2^h / 64⌉` words, bit `s` the report for span
+    /// `s` (`1` ⇒ `+1`).
+    /// Consulted when an accepted Byzantine impersonation displaces a
+    /// folded honest report.
+    reports: Vec<Vec<u64>>,
+    /// Per order `h`: every lane's on-time mask, in the same layout —
+    /// bit `s` is set when the span-`s` report was folded on time.
+    /// [`planned_floor`] derives each residue frame's dedupe floor from
+    /// these bits.
+    on_time: Vec<Vec<u64>>,
+    /// Per order `h`, per span `s`: `+1` count of the folded reports.
+    plus: Vec<Vec<u64>>,
+    /// Per order `h`, per span `s`: number of folded reports.
+    folded: Vec<Vec<u64>>,
+    /// The faulted residue, bucketed by delivery period and lag:
+    /// `residue[at · lags + lag]` holds the frames delivered at period
+    /// `at` that were emitted at `at − lag`. Users are walked in id order
+    /// and each puts at most one frame in a bucket, so every bucket is
+    /// ascending by emitter — already in sequential mailbox order.
+    residue: Vec<Vec<Frame>>,
     /// Emission-side fault tallies (`byzantine_accepted` stays 0 — that
     /// is decided at ingestion).
     faults: FaultCounts,
@@ -576,10 +576,25 @@ struct ShardEmission {
     digest: u64,
 }
 
-/// Clears one lane's bit in a packed membership mask.
+impl ShardEmission {
+    /// Order, report row and on-time row of the shard's global user `v`.
+    fn rows(&self, v: usize) -> (usize, &[u64], &[u64]) {
+        let local = v - self.start;
+        let h = self.orders[local] as usize;
+        let w = self.plus[h].len().div_ceil(64);
+        let at = self.lanes[local] as usize * w;
+        (
+            h,
+            &self.reports[h][at..at + w],
+            &self.on_time[h][at..at + w],
+        )
+    }
+}
+
+/// Whether bit `s` of a packed row is set.
 #[inline]
-fn clear_bit(words: &mut [u64], lane: u32) {
-    words[(lane / 64) as usize] &= !(1u64 << (lane % 64));
+fn bit_at(row: &[u64], s: usize) -> bool {
+    (row[s / 64] >> (s % 64)) & 1 == 1
 }
 
 /// The dedupe floor the sequential drain would have seen for a residue
@@ -591,36 +606,47 @@ fn clear_bit(words: &mut [u64], lane: u32) {
 ///
 /// Accepted boundaries are strictly increasing per user (acceptance
 /// requires `t == current_t + 1`), so the max over "folded before this
-/// frame" is the first set plan bit scanning down from `t` — including
-/// `t` itself only when the claimed user's own on-time report sits
-/// earlier in this period's mailbox, i.e. the frame was emitted this
-/// period by a higher user id.
+/// frame" is the highest set on-time bit at or below `t`'s span —
+/// including `t` itself only when the claimed user's own on-time report
+/// sits earlier in this period's mailbox, i.e. the frame was emitted this
+/// period by a higher user id. The scan runs down the user's mask row a
+/// word at a time ([`highest_set_at_or_below`]).
 fn planned_floor(shards: &[ShardEmission], n: usize, workers: usize, t: u64, frame: &Frame) -> u64 {
     let v = frame.user as usize;
     if v >= n {
         return 0;
     }
-    let sh = &shards[shard_of(n, workers, v)];
-    let local = v - sh.start;
-    let h = sh.orders[local] as usize;
-    let lane = sh.lanes[local] as usize;
-    let glen = sh.group_len[h];
+    let (h, _, on_time) = shards[shard_of(n, workers, v)].rows(v);
     let stride = 1u64 << h;
     let mut b = (t / stride) * stride;
     if b == t {
         let own_precedes = u64::from(frame.emitted) == t && frame.emitter > frame.user;
         if !own_precedes {
-            b = b.saturating_sub(stride);
+            b -= stride;
         }
     }
-    while b >= stride {
-        let idx = (b / stride - 1) as usize * glen + lane;
-        if sh.plan[h].get(idx) == Sign::Plus {
-            return b;
-        }
-        b -= stride;
+    if b == 0 {
+        return 0;
     }
-    0
+    highest_set_at_or_below(on_time, (b / stride - 1) as usize)
+        .map_or(0, |s| (s as u64 + 1) * stride)
+}
+
+/// The highest set bit of a packed row at or below position `top`,
+/// scanning down a word at a time.
+fn highest_set_at_or_below(row: &[u64], top: usize) -> Option<usize> {
+    let mut i = top / 64;
+    let mut word = row[i] & (u64::MAX >> (63 - top % 64));
+    loop {
+        if word != 0 {
+            return Some(i * 64 + 63 - word.leading_zeros() as usize);
+        }
+        if i == 0 {
+            return None;
+        }
+        i -= 1;
+        word = row[i];
+    }
 }
 
 fn run_scenario_batched_impl(
@@ -638,67 +664,48 @@ fn run_scenario_batched_impl(
     let n = params.n();
     let workers = workers.max(1);
     let pool = WorkerPool::new(workers);
-    let num_orders = params.num_orders();
+    // A frame lands at most `max_delay + 1` periods after its emission
+    // (a straggler's retransmission), and never past the horizon.
+    let max_delay = (1..=d).map(|t| timeline.at(t).max_delay).max();
+    let lags = (max_delay.unwrap_or(1).min(d) + 2) as usize;
     let mut timings = ScenarioStageTimings::default();
 
     let emission_start = std::time::Instant::now();
     let shards: Vec<ShardEmission> = pool.map_shards(n, |shard| {
-        let mut groups =
-            build_order_groups(params, population, &composed, &root, shard.range(), schema);
-        let mut orders = vec![0u8; shard.len()];
-        let mut lanes = vec![0u32; shard.len()];
-        for (h, group) in groups.iter().enumerate() {
-            for (lane, &u) in group.users.iter().enumerate() {
-                orders[u as usize - shard.start] = h as u8;
-                lanes[u as usize - shard.start] = lane as u32;
-            }
-        }
-        let group_len: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        // Per order: the honest on-time membership mask, narrowed as the
-        // pre-walk classifies lanes — Byzantine lanes leave for good,
-        // churned lanes leave from their first silenced span on, and
-        // faulted boundaries leave for exactly one span.
-        let mut active: Vec<Vec<u64>> = group_len
-            .iter()
-            .map(|&len| {
-                let mut words = vec![u64::MAX; len.div_ceil(64)];
-                let tail = len % 64;
-                if tail != 0 {
-                    if let Some(last) = words.last_mut() {
-                        *last = (1u64 << tail) - 1;
-                    }
-                }
-                words
-            })
+        let mut writer = SequenceWriter::new(params, population, &composed, &root, schema);
+        let mut orders = Vec::with_capacity(shard.len());
+        let mut lanes = Vec::with_capacity(shard.len());
+        let mut reports: Vec<Vec<u64>> = vec![Vec::new(); params.num_orders() as usize];
+        let mut on_time = reports.clone();
+        let mut plus: Vec<PositionalCounter> = (0..params.num_orders())
+            .map(|h| PositionalCounter::new(params.sequence_len(h)))
             .collect();
-        // clears[h][s] = lanes churn silences from span s onward;
-        // dirty[h][s] = lanes excluded from span s only (drop, straggle,
-        // corruption); events[h][s] = residue deliveries (lane, period)
-        // whose frames are materialised once the span's bits exist.
-        let mut clears: Vec<Vec<Vec<u32>>> = (0..num_orders)
-            .map(|h| vec![Vec::new(); params.sequence_len(h)])
-            .collect();
-        let mut dirty = clears.clone();
-        let mut events: Vec<Vec<Vec<(u32, u64)>>> = (0..num_orders)
-            .map(|h| vec![Vec::new(); params.sequence_len(h)])
-            .collect();
-
-        let mut pending: Vec<FrameBatch> = (0..=d as usize).map(|_| FrameBatch::new()).collect();
+        let mut folded = plus.clone();
+        let mut residue: Vec<Vec<Frame>> = vec![Vec::new(); (d as usize + 1) * lags];
+        let mut deliver = |at: u64, frame: Frame| {
+            residue[at as usize * lags + (at - u64::from(frame.emitted)) as usize].push(frame);
+        };
+        let mut mask = vec![0u64; params.sequence_len(0).div_ceil(64)];
+        let mut kept = mask.clone();
         let mut faults = FaultCounts::default();
         let mut digest = 0u64;
 
-        // Phase 1 — fault pre-walk: classify every reporting boundary of
-        // every client by walking its private fault stream once, whole
-        // horizon per user. Per-user fault streams are disjoint, so the
-        // draws land exactly where the sequential period-major loop put
-        // them (the residual digest proves it); only the *order across
-        // users* changes, which no draw depends on.
+        // One pass per user, in id order: its whole report sequence
+        // (untouched by faults — invariant 1), then its private fault
+        // stream, walked once in the sequential engine's draw order (the
+        // streams are disjoint, so only the order *across* users changes;
+        // the residual digest proves it). The walk builds the on-time
+        // mask that selects the folded reports.
         for u in shard.range() {
-            let local = u - shard.start;
-            let h = orders[local] as usize;
-            let lane = lanes[local];
+            let (order, row) = writer.write(u);
+            let h = order as usize;
+            let l = params.sequence_len(order);
+            let w = l.div_ceil(64);
             let stride = 1u64 << h;
+            let mask = &mut mask[..w];
+            orders.push(order as u8);
+            lanes.push((reports[h].len() / w) as u32);
+
             let mut frng = fault_root.child(u as u64).rng();
             let byzantine = frng.random_bool(timeline.byzantine_frac());
             let churn_at = timeline.sample_churn(&mut frng);
@@ -706,11 +713,10 @@ fn run_scenario_batched_impl(
                 faults.churned_clients += 1;
             }
             if byzantine {
-                // Byzantine lanes never contribute honest folds; their
+                // Byzantine users never contribute honest folds; their
                 // fabrications are residue frames like any other fault.
-                clear_bit(&mut active[h], lane);
-                let mut t = 1u64;
-                while t <= d && t < churn_at {
+                mask.fill(0);
+                for t in 1..=d.min(churn_at - 1) {
                     faults.byzantine_messages += 1;
                     let msg = fabricate_report(&mut frng, params, u as u32);
                     dispatch_frame(
@@ -721,111 +727,78 @@ fn run_scenario_batched_impl(
                         &mut frng,
                         timeline,
                         &mut faults,
-                        &mut pending,
                         d,
+                        &mut deliver,
                     );
-                    t += 1;
                 }
             } else {
-                let mut b = stride;
-                while b <= d && b < churn_at {
-                    let s = (b / stride - 1) as usize;
+                // Spans ending before `churn_at` still report; churn
+                // silences the rest.
+                let live = ((churn_at - 1) / stride).min(l as u64) as usize;
+                faults.lost_to_churn += (l - live) as u64;
+                for (i, m) in mask.iter_mut().enumerate() {
+                    *m = match live.saturating_sub(64 * i) {
+                        0 => 0,
+                        rest if rest >= 64 => u64::MAX,
+                        rest => (1u64 << rest) - 1,
+                    };
+                }
+                for s in 0..live {
+                    let b = (s as u64 + 1) * stride;
                     let routing = route(b, &mut frng, timeline, &mut faults, d);
+                    if routing.deliver != Some(b) || routing.malformed {
+                        mask[s / 64] &= !(1u64 << (s % 64));
+                    }
                     if routing.malformed {
                         // Same accounting as `dispatch_frame`: each
                         // delivered copy is counted where its decode
                         // would have failed, and no frame materialises.
                         faults.malformed += u64::from(routing.deliver.is_some())
                             + u64::from(routing.duplicate.is_some());
-                        dirty[h][s].push(lane);
-                    } else {
-                        if routing.deliver != Some(b) {
-                            dirty[h][s].push(lane);
-                        }
-                        if let Some(at) = routing.deliver {
-                            if at != b {
-                                events[h][s].push((lane, at));
-                            }
-                        }
-                        if let Some(at) = routing.duplicate {
-                            events[h][s].push((lane, at));
-                        }
+                        continue;
                     }
-                    b += stride;
-                }
-                if churn_at <= d {
-                    let first_lost = churn_at.div_ceil(stride) * stride;
-                    if first_lost <= d {
-                        faults.lost_to_churn += d / stride - first_lost / stride + 1;
-                        clears[h][(first_lost / stride - 1) as usize].push(lane);
+                    let frame = Frame {
+                        emitted: b as u32,
+                        emitter: u as u32,
+                        user: u as u32,
+                        t: b as u32,
+                        bit: bit_at(row, s),
+                        byzantine: false,
+                    };
+                    if let Some(at) = routing.deliver.filter(|&at| at != b) {
+                        deliver(at, frame);
+                    }
+                    if let Some(at) = routing.duplicate {
+                        deliver(at, frame);
                     }
                 }
             }
             digest = digest.rotate_left(1) ^ frng.random::<u64>();
-        }
 
-        // Phase 2 — span walk: emit every group's packed sign words in
-        // horizon order. Faulted and Byzantine lanes still draw (client
-        // randomness is untouched by faults — invariant 1), the honest
-        // on-time majority is folded by masked popcount, and the faulted
-        // minority's frames are materialised from the bits just emitted.
-        let mut folds: Vec<Vec<(u64, u64)>> = (0..num_orders)
-            .map(|h| Vec::with_capacity(params.sequence_len(h)))
-            .collect();
-        let mut horizon_signs: Vec<SignLane> = (0..num_orders).map(|_| SignLane::new()).collect();
-        let mut plan: Vec<SignLane> = (0..num_orders).map(|_| SignLane::new()).collect();
-        let mut scratch: Vec<u64> = Vec::new();
-        for t in 1..=d {
-            let max_h = t.trailing_zeros().min(params.log_d());
-            for h in 0..=max_h as usize {
-                let group = &mut groups[h];
-                if group.is_empty() {
-                    continue;
-                }
-                let s = ((t >> h) - 1) as usize;
-                group.emit_span(t);
-                for &lane in &clears[h][s] {
-                    clear_bit(&mut active[h], lane);
-                }
-                scratch.clear();
-                scratch.extend_from_slice(&active[h]);
-                for &lane in &dirty[h][s] {
-                    clear_bit(&mut scratch, lane);
-                }
-                let plus = group.signs.count_plus_masked(&scratch);
-                let count: u64 = scratch.iter().map(|w| u64::from(w.count_ones())).sum();
-                folds[h].push((plus, count));
-                let len = group.len();
-                horizon_signs[h].extend_from_range(&group.signs, 0..len);
-                let mut rem = len;
-                for &w in &scratch {
-                    let take = rem.min(64);
-                    plan[h].push_bits(w, take);
-                    rem -= take;
-                }
-                for &(lane, at) in &events[h][s] {
-                    let user = group.users[lane as usize];
-                    pending[at as usize].push(Frame {
-                        emitted: t as u32,
-                        emitter: user,
-                        user,
-                        t: t as u32,
-                        bit: group.signs.get(lane as usize) == Sign::Plus,
-                        byzantine: false,
-                    });
-                }
+            for ((k, &r), &m) in kept.iter_mut().zip(row).zip(mask.iter()) {
+                *k = r & m;
             }
+            plus[h].add(&kept[..w]);
+            folded[h].add(mask);
+            reports[h].extend_from_slice(row);
+            on_time[h].extend_from_slice(mask);
         }
 
         ShardEmission {
             start: shard.start,
             orders,
             lanes,
-            group_len,
-            folds,
-            horizon_signs,
-            plan,
-            pending,
+            reports,
+            on_time,
+            plus: plus
+                .into_iter()
+                .map(PositionalCounter::into_totals)
+                .collect(),
+            folded: folded
+                .into_iter()
+                .map(PositionalCounter::into_totals)
+                .collect(),
+            residue,
             faults,
             digest,
         }
@@ -862,30 +835,41 @@ fn run_scenario_batched_impl(
     let mut estimates = Vec::with_capacity(d as usize);
     let mut byz_accepted_by_period = vec![0u64; d as usize];
     let mut displaced: Vec<(usize, usize, u32)> = Vec::new();
+    let mut mailbox: Vec<Frame> = Vec::new();
     for t in 1..=d {
+        // The sequential mailbox orders frames by emission period, then
+        // emitter. Deepest lag first is emission period ascending, shards
+        // are ascending id ranges, and each bucket is ascending by
+        // emitter — so the merge only concatenates.
         let merge_start = std::time::Instant::now();
-        let mailbox = FrameBatch::merge_ordered(shards.iter().map(|s| &s.pending[t as usize]));
+        mailbox.clear();
+        for lag in (0..lags).rev() {
+            for sh in &shards {
+                mailbox.extend_from_slice(&sh.residue[t as usize * lags + lag]);
+            }
+        }
+        debug_assert!(
+            mailbox
+                .windows(2)
+                .all(|f| (f[0].emitted, f[0].emitter) < (f[1].emitted, f[1].emitter)),
+            "concatenated residue must be in mailbox order"
+        );
         timings.merge_s += merge_start.elapsed().as_secs_f64();
 
         let ingest_start = std::time::Instant::now();
         let max_h = t.trailing_zeros().min(params.log_d());
-        let mut folded = 0u64;
-        for sh in &shards {
-            for h in 0..=max_h as usize {
-                if sh.group_len[h] == 0 {
-                    continue;
-                }
-                folded += sh.folds[h][((t >> h) - 1) as usize].1;
-            }
-        }
+        let folded: u64 = shards
+            .iter()
+            .flat_map(|sh| (0..=max_h as usize).map(move |h| sh.folded[h][((t >> h) - 1) as usize]))
+            .sum();
         // Every folded report was delivered and decoded; displaced ones
         // (below) were too — they just classify as duplicates.
         wire.record_report_batch(mailbox.len() as u64 + folded);
 
         displaced.clear();
-        for f in mailbox.iter() {
+        for f in &mailbox {
             let bit = if f.bit { Sign::Plus } else { Sign::Minus };
-            let floor = planned_floor(&shards, n, workers, t, &f);
+            let floor = planned_floor(&shards, n, workers, t, f);
             let status = server.ingest_checked_with_floor(f.user, u64::from(f.t), bit, floor);
             if f.byzantine && status == Delivery::Accepted {
                 faults.byzantine_accepted += 1;
@@ -899,32 +883,22 @@ fn run_scenario_batched_impl(
                 // (user, period) — a second impersonation hits the
                 // roster's fresh `last_accepted` and dedupes.
                 let si = shard_of(n, workers, f.user as usize);
-                let sh = &shards[si];
-                let local = f.user as usize - sh.start;
-                let h = sh.orders[local] as usize;
+                let (h, _, on_time) = shards[si].rows(f.user as usize);
                 let stride = 1u64 << h;
-                if t % stride == 0 {
-                    let lane = sh.lanes[local];
-                    let s = (t / stride - 1) as usize;
-                    let idx = s * sh.group_len[h] + lane as usize;
-                    if sh.plan[h].get(idx) == Sign::Plus {
-                        displaced.push((si, h, lane));
-                    }
+                if t % stride == 0 && bit_at(on_time, (t / stride - 1) as usize) {
+                    displaced.push((si, h, f.user));
                 }
             }
         }
 
         for (si, sh) in shards.iter().enumerate() {
             for h in 0..=max_h as usize {
-                if sh.group_len[h] == 0 {
-                    continue;
-                }
                 let s = ((t >> h) - 1) as usize;
-                let (mut plus, mut count) = sh.folds[h][s];
-                for &(dsi, dh, lane) in &displaced {
+                let (mut plus, mut count) = (sh.plus[h][s], sh.folded[h][s]);
+                for &(dsi, dh, v) in &displaced {
                     if dsi == si && dh == h {
-                        let idx = s * sh.group_len[h] + lane as usize;
-                        if sh.horizon_signs[h].get(idx) == Sign::Plus {
+                        let (_, reports, _) = sh.rows(v as usize);
+                        if bit_at(reports, s) {
                             plus -= 1;
                         }
                         count -= 1;
@@ -1106,9 +1080,10 @@ fn dispatch(
     }
 }
 
-/// Batched-mode dispatch: routes one message and appends columnar frame
-/// rows tagged with their emission provenance `(t, emitter)` — the key
-/// [`FrameBatch::merge_ordered`] later sorts by.
+/// Frame-path dispatch: routes one message and hands `deliver` each
+/// surviving copy with its delivery period, as a frame row tagged with
+/// its emission provenance `(t, emitter)` — the key the mailbox is
+/// ordered by.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_frame(
     msg: ReportMsg,
@@ -1118,8 +1093,8 @@ pub(crate) fn dispatch_frame(
     frng: &mut StdRng,
     timeline: &FaultTimeline,
     faults: &mut FaultCounts,
-    pending: &mut [FrameBatch],
     d: u64,
+    mut deliver: impl FnMut(u64, Frame),
 ) {
     let routing = route(t, frng, timeline, faults, d);
     if routing.malformed {
@@ -1140,10 +1115,10 @@ pub(crate) fn dispatch_frame(
         byzantine,
     };
     if let Some(at) = routing.deliver {
-        pending[at as usize].push(frame);
+        deliver(at, frame);
     }
     if let Some(at) = routing.duplicate {
-        pending[at as usize].push(frame);
+        deliver(at, frame);
     }
 }
 
@@ -1560,6 +1535,97 @@ mod tests {
         };
         let got = (run(SeedSchema::V1Std), run(SeedSchema::V2Fast));
         assert_eq!(got, (V1_STD, V2_FAST), "{got:#018x?}");
+    }
+
+    #[test]
+    fn fault_storm_multi_word_horizons_are_pinned_by_golden_digests() {
+        // At d = 1024 an order-0 user's reports and on-time mask span 16
+        // words, stragglers up to 6 periods late (7 with a retransmit)
+        // land in deep lag buckets, and impersonations of churned or
+        // Byzantine users scan their planned floors across word
+        // boundaries. The fault-storm mix runs as a constant timeline
+        // and, with a mid-horizon pulse and churn storm, as a shaped one
+        // under the Zipf delay law. The digest covers estimate bits,
+        // delivery rows, fault tallies, per-period Byzantine acceptance,
+        // wire accounting and the residual fault-stream digest,
+        // identical at every worker count.
+        const CONSTANT: [u64; 2] = [0xf67c_68ab_eb83_86db, 0x7771_d74b_b318_c8e1];
+        const SHAPED: [u64; 2] = [0xb770_9fc9_32bd_c701, 0x7b6f_4ff5_d6cc_388d];
+        let (params, pop) = setup(3_001, 1024, 4, 9);
+        let storm = Scenario::honest()
+            .with_dropout(0.05)
+            .with_stragglers(0.10, 6)
+            .with_duplicates(0.10)
+            .with_byzantine(0.01)
+            .with_malformed(0.01)
+            .with_churn(0.001);
+        let rows: Vec<Scenario> = (1..=1024u64)
+            .map(|t| match t {
+                300..=420 => storm.with_dropout(0.3).with_duplicates(0.25),
+                600..=640 => storm.with_churn(0.01),
+                _ => storm,
+            })
+            .collect();
+        let shaped =
+            FaultTimeline::shaped(storm, rows).with_delay_law(DelayLaw::Zipf { alpha: 1.2 });
+        let timelines = [(FaultTimeline::constant(storm), CONSTANT), (shaped, SHAPED)];
+        for (timeline, expect) in &timelines {
+            for (schema, expect) in [SeedSchema::V1Std, SeedSchema::V2Fast]
+                .into_iter()
+                .zip(expect)
+            {
+                for w in [1usize, 2, 3] {
+                    let (out, residual) = run_scenario_timeline_digest(
+                        &params,
+                        &pop,
+                        13,
+                        timeline,
+                        ExecMode::Parallel(w),
+                        schema,
+                    );
+                    assert!(out.faults.byzantine_accepted > 0 && out.faults.expired > 0);
+                    let mut bytes = scenario_digest(&out).to_le_bytes().to_vec();
+                    for x in [
+                        out.wire.messages,
+                        out.wire.wire_bytes,
+                        out.wire.payload_bits,
+                        residual,
+                    ] {
+                        bytes.extend_from_slice(&x.to_le_bytes());
+                    }
+                    let got = rtf_core::snapshot::fnv1a64(&bytes);
+                    assert_eq!(got, *expect, "{schema:?} parallel({w}): {got:#018x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_scan_matches_a_bit_by_bit_reference() {
+        // Rows of one to four words — every single-bit row, so each word
+        // boundary is crossed from every start, plus random rows of
+        // three densities — against every scan start.
+        let mut rng = SeedSequence::new(77).rng();
+        for bits in [64usize, 128, 192, 256] {
+            let random = [0.01, 0.1, 0.5].into_iter().flat_map(|p| vec![p; 20]);
+            let rows = (0..bits).map(|s| vec![s]).chain(
+                random.map(|p| (0..bits).filter(|_| rng.random_bool(p)).collect::<Vec<_>>()),
+            );
+            for set in rows {
+                let mut row = vec![0u64; bits / 64];
+                for &s in &set {
+                    row[s / 64] |= 1 << (s % 64);
+                }
+                for top in 0..bits {
+                    let expect = set.iter().copied().filter(|&s| s <= top).max();
+                    assert_eq!(
+                        highest_set_at_or_below(&row, top),
+                        expect,
+                        "{set:?} top {top}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

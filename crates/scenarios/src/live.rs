@@ -21,17 +21,18 @@
 //! exactly). Proven by [`crate::oracle::assert_live_agreement`] and the
 //! [`crate::chaos`] proptest suite.
 //!
-//! Unlike the batched engine's span-native layer, the live runner keeps
-//! the per-frame route — every report crosses the ingestion service
-//! individually because the service's contract (mailbox backpressure,
-//! journaled recovery) is per-message by design. The span-native fold is
-//! an offline-throughput optimisation; the live path is the fidelity
-//! reference for deployment semantics, and both are pinned to the same
-//! sequential oracle.
+//! Unlike the batched engine, which walks each client once and folds
+//! its whole on-time report sequence user by user, the live runner keeps
+//! the per-frame route, period by period — every report crosses the
+//! ingestion service individually because the service's contract
+//! (mailbox backpressure, journaled recovery) is per-message by design.
+//! The user-major fold is an offline-throughput optimisation; the live
+//! path is the fidelity reference for deployment semantics, and both are
+//! pinned to the same sequential oracle.
 
 use crate::config::{FaultTimeline, Scenario};
 use crate::engine::{
-    composed_tables, dispatch_frame, fabricate_report, ClientSlot, FaultCounts, ScenarioOutcome,
+    check_inputs, dispatch_frame, fabricate_report, ClientSlot, FaultCounts, ScenarioOutcome,
     FAULT_STREAM,
 };
 use rand::Rng;
@@ -45,6 +46,7 @@ use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_runtime::ingest::{IngestService, IngestStats, LiveConfig};
 use rtf_runtime::{shard_of, FrameBatch};
+use rtf_sim::engine::composed_tables;
 use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
 use rtf_streams::population::Population;
 
@@ -129,10 +131,7 @@ pub fn run_scenario_live_timeline(
     config: &LiveConfig,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, IngestStats) {
-    timeline.validate(params.d());
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
+    check_inputs(params, population, timeline);
 
     let composed = composed_tables(params);
     let root = SeedSequence::new(seed);
@@ -216,8 +215,8 @@ pub fn run_scenario_live_timeline(
                     &mut slot.frng,
                     timeline,
                     &mut faults,
-                    &mut pending,
                     d,
+                    |at, frame| pending[at as usize].push(frame),
                 );
                 continue;
             }
@@ -235,8 +234,8 @@ pub fn run_scenario_live_timeline(
                 &mut slot.frng,
                 timeline,
                 &mut faults,
-                &mut pending,
                 d,
+                |at, frame| pending[at as usize].push(frame),
             );
         }
 

@@ -144,7 +144,7 @@ pub fn assert_exact_agreement(
 /// faulty scenario here proves the shard merge reconstructs the
 /// sequential mailbox order exactly — not merely that sums commute. The
 /// scenario legs also compare the **residual fault-stream digest**
-/// ([`run_scenario_schema_digest`]): the span-native fault layer must
+/// ([`run_scenario_schema_digest`]): the batched fault layer must
 /// leave every client's private fault RNG at the exact position the
 /// sequential drain leaves it, which outcome equality alone cannot see.
 ///
@@ -199,7 +199,7 @@ pub fn assert_mode_agreement(
         assert_eq!(
             digest, digest_seq,
             "parallel({w}) residual fault-stream digest (seed {seed}): \
-             the span-native layer consumed fault draws differently"
+             the batched fault layer consumed fault draws differently"
         );
     }
 }

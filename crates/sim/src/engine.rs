@@ -120,40 +120,35 @@ pub fn run_event_driven_schema(
 }
 
 /// One composed randomizer table per order — shared by the engine's
-/// modes and the live streaming driver ([`crate::live`]).
-pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer> {
+/// modes, the live streaming driver ([`crate::live`]) and the scenario
+/// engines (`rtf_scenarios`).
+pub fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer> {
     (0..params.num_orders())
         .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
         .collect()
 }
 
-/// One order group's client state in the span-major pipelines (the live
-/// streaming driver and the span-native scenario engine),
-/// struct-of-arrays: parallel lanes of user ids, RNG streams (v1 schema
-/// only), a precomputed span-event schedule, and one shared
-/// [`SpanRandomizers`] arena.
+/// One order group's client state in the span-major live streaming
+/// driver ([`crate::live`]), struct-of-arrays: parallel lanes of user
+/// ids, RNG streams (v1 schema only), a precomputed span-event
+/// schedule, and one shared [`SpanRandomizers`] arena.
 ///
-/// The former layout held a `GroupedSlot {client, rng, cursor}` struct
-/// per user — ~150 scattered bytes plus a per-user heap `b̃` vector, a
-/// pointer chase per report. A span emission now walks each column once
-/// ([`emit_span`](Self::emit_span)): partial sums rebuilt from the
-/// precomputed span-event schedule, then one monomorphized randomizer
-/// pass filling the packed [`SignLane`] — bit-identical to per-slot
-/// `observe_span` calls.
+/// A span emission walks each column once ([`emit_span`](Self::emit_span)):
+/// partial sums rebuilt from the precomputed span-event schedule, then
+/// one monomorphized randomizer pass filling the packed [`SignLane`] —
+/// bit-identical to per-slot `observe_span` calls.
 ///
-/// Public because the span-native scenario engine
-/// (`rtf_scenarios::engine`) drives the same groups through its fault
-/// layer, masking faulted lanes out of each span — client construction
-/// and span emission must live in exactly one place for the engines'
-/// bit-identity proofs to mean anything. The offline batched engine
-/// needs only per-span totals and folds user by user instead
-/// ([`fold_shard_horizon`]).
+/// The live driver is the last engine that emits span by span: it
+/// streams each period's reports into the ingestion service as they
+/// fall due. The offline batched engine and the batched scenario engine
+/// write each client's whole sequence at once instead
+/// ([`SequenceWriter`]).
 pub struct SpanGroup {
     /// User ids in lane order.
     pub users: Vec<u32>,
     /// This group's report signs for the current span, bit-packed —
     /// valid after [`emit_span`](Self::emit_span), consumed via
-    /// `ReportBatch::extend_packed` or masked span folds.
+    /// `ReportBatch::extend_packed`.
     pub signs: SignLane,
     /// Each lane's RNG stream, positioned just past its `b̃` draws — the
     /// source of the v1 schema's zero-report signs. Empty under
@@ -241,7 +236,7 @@ impl SpanGroup {
 /// zero-report signs follow them on the same stream.
 ///
 /// The sequential reference, [`build_order_groups`] and
-/// [`fold_shard_horizon`] all open their clients here, so they consume
+/// [`SequenceWriter`] all open their clients here, so they consume
 /// per-user randomness identically and the batched ≡ streaming ≡
 /// sequential proofs hold.
 struct ClientStream {
@@ -301,14 +296,13 @@ fn nonzero_spans(
 /// span-major [`SpanGroup`]s — at period `t` only orders dividing `t`
 /// report, so a round loop walks exactly the reporting clients.
 ///
-/// Its callers are the ones that need every span's per-lane report
-/// bits: the live streaming driver ([`crate::live`]), which streams
-/// each span as a report batch, and the span-native scenario engine
-/// (`rtf_scenarios::engine`), which masks faulted lanes out of each
-/// span. The offline batched engine needs only per-span totals and
-/// folds user by user instead ([`fold_shard_horizon`]). Both paths open
-/// their clients through the same helper and draw `b̃` from the same
-/// composed randomizer, so they consume per-user randomness identically.
+/// Its last engine caller is the live streaming driver
+/// ([`crate::live`]), which streams each span's per-lane report bits as
+/// a report batch. The offline batched engine and the batched scenario
+/// engine write each client's whole sequence at once instead
+/// ([`SequenceWriter`]). Both paths open their clients through the same
+/// helper and draw `b̃` from the same composed randomizer, so they
+/// consume per-user randomness identically.
 ///
 /// Construction is allocation-free per user: a first pass over the
 /// users' order draws sizes every group's columns exactly, then each
@@ -377,6 +371,86 @@ pub fn build_order_groups(
     groups
 }
 
+/// Writes clients' whole report sequences one user at a time — the
+/// client kernel of both batched engines: [`fold_shard_horizon`] here,
+/// and the batched scenario engine (`rtf_scenarios::engine`), which
+/// masks each sequence with the client's on-time spans.
+///
+/// FutureRand draws `b̃` at initialisation, and a zero partial sum's
+/// report depends only on the client's stream (v1) or key and report
+/// index (v2), so a client's whole report sequence is fixed once its
+/// `b̃` and change times are known. [`write`](Self::write) makes the
+/// sequential reference's construction draws in its order (the order
+/// draw, then `b̃` into a reused scratch slice) and writes the `d / 2^h`
+/// reports as packed words ([`fill_sequence_words`]), allocating
+/// nothing per user.
+pub struct SequenceWriter<'a> {
+    params: &'a ProtocolParams,
+    population: &'a Population,
+    composed: &'a [ComposedRandomizer],
+    root: &'a SeedSequence,
+    schema: SeedSchema,
+    /// Scratch for the client's `b̃`, as long as the largest `k`.
+    b_tilde: Vec<Sign>,
+    /// Scratch for the client's packed reports, as long as order 0's.
+    words: Vec<u64>,
+}
+
+impl<'a> SequenceWriter<'a> {
+    /// A writer over the clients of `population` under `root`, with one
+    /// composed randomizer table per order.
+    pub fn new(
+        params: &'a ProtocolParams,
+        population: &'a Population,
+        composed: &'a [ComposedRandomizer],
+        root: &'a SeedSequence,
+        schema: SeedSchema,
+    ) -> Self {
+        let max_k = composed
+            .iter()
+            .map(ComposedRandomizer::k)
+            .max()
+            .unwrap_or(0);
+        SequenceWriter {
+            params,
+            population,
+            composed,
+            root,
+            schema,
+            b_tilde: vec![Sign::Plus; max_k],
+            words: vec![0u64; params.sequence_len(0).div_ceil(64)],
+        }
+    }
+
+    /// Client `u`'s announced order `h` and its whole report sequence:
+    /// bit `j` of word `j / 64` is the report for span `j`, the order-`h`
+    /// interval ending at period `(j + 1)·2^h` (`1` ⇒ `+1`); the row is
+    /// `⌈d / 2^h / 64⌉` words and bits past `d / 2^h` are zero.
+    pub fn write(&mut self, u: usize) -> (u32, &[u64]) {
+        let mut client = ClientStream::open(self.params, self.root, u);
+        let h = client.order;
+        let l = self.params.sequence_len(h);
+        let m = &self.composed[h as usize];
+        let b_tilde = &mut self.b_tilde[..m.k()];
+        m.sample_for_all_ones_into(b_tilde, &mut client.rng);
+        let row = &mut self.words[..l.div_ceil(64)];
+        fill_sequence_words(
+            l,
+            b_tilde,
+            nonzero_spans(
+                self.population.stream(u).change_times(),
+                self.params.d(),
+                1u64 << h,
+            ),
+            self.schema,
+            client.fast_key,
+            &mut client.rng,
+            row,
+        );
+        (h, row)
+    }
+}
+
 /// One shard's whole horizon, folded to per-span report totals by
 /// [`fold_shard_horizon`].
 #[derive(Debug, Clone)]
@@ -395,17 +469,11 @@ pub struct HorizonFold {
 /// horizon of `users` into per-order, per-span `+1` counts, user by
 /// user.
 ///
-/// FutureRand draws `b̃` at initialisation, and a zero partial sum's
-/// report depends only on the client's stream (v1) or key and report
-/// index (v2), so a client's whole report sequence is fixed once its
-/// `b̃` and change times are known. For each user, in id order, the
-/// kernel makes the construction draws of the sequential reference, in
-/// its order (the order draw, then `b̃` into a reused scratch slice, as
-/// [`build_order_groups`] makes them), writes the user's `d / 2^h`
-/// reports as packed words ([`fill_sequence_words`]) and adds them into
-/// its order's [`PositionalCounter`]. No per-span state is kept, so the
-/// cost per user is its draws plus `⌈d / 2^h / 64⌉` words, and the
-/// totals equal a span-by-span popcount of the same reports exactly.
+/// For each user, in id order, a [`SequenceWriter`] writes the user's
+/// whole report sequence and the kernel adds it into its order's
+/// [`PositionalCounter`]. No per-span state is kept, so the cost per
+/// user is its draws plus `⌈d / 2^h / 64⌉` words, and the totals equal
+/// a span-by-span popcount of the same reports exactly.
 pub fn fold_shard_horizon(
     params: &ProtocolParams,
     population: &Population,
@@ -414,34 +482,12 @@ pub fn fold_shard_horizon(
     users: std::ops::Range<usize>,
     schema: SeedSchema,
 ) -> HorizonFold {
-    let d = params.d();
     let mut counters: Vec<PositionalCounter> = (0..params.num_orders())
         .map(|h| PositionalCounter::new(params.sequence_len(h)))
         .collect();
-    let max_k = composed
-        .iter()
-        .map(ComposedRandomizer::k)
-        .max()
-        .unwrap_or(0);
-    let mut b_tilde = vec![Sign::Plus; max_k];
-    let mut words = vec![0u64; params.sequence_len(0).div_ceil(64)];
+    let mut writer = SequenceWriter::new(params, population, composed, root, schema);
     for u in users {
-        let mut client = ClientStream::open(params, root, u);
-        let h = client.order;
-        let l = params.sequence_len(h);
-        let m = &composed[h as usize];
-        let b_tilde = &mut b_tilde[..m.k()];
-        m.sample_for_all_ones_into(b_tilde, &mut client.rng);
-        let row = &mut words[..l.div_ceil(64)];
-        fill_sequence_words(
-            l,
-            b_tilde,
-            nonzero_spans(population.stream(u).change_times(), d, 1u64 << h),
-            schema,
-            client.fast_key,
-            &mut client.rng,
-            row,
-        );
+        let (h, row) = writer.write(u);
         counters[h as usize].add(row);
     }
     HorizonFold {

@@ -44,7 +44,7 @@ pub mod runner;
 pub use aggregate::{run_calibrated_aggregate, run_future_rand_aggregate};
 pub use engine::{
     build_order_groups, fold_shard_horizon, run_event_driven, run_event_driven_with,
-    EventDrivenOutcome, HorizonFold, SpanGroup,
+    EventDrivenOutcome, HorizonFold, SequenceWriter, SpanGroup,
 };
 pub use live::{run_event_driven_live, run_event_driven_live_with};
 pub use message::{OrderAnnouncement, ReportMsg, WireStats};
